@@ -99,7 +99,7 @@ void ChangRobertsProtocol::on_message(node::Context& ctx, const hw::Delivery& d)
             return;
         }
         if (tok->priority > priority_) {
-            send_cw(ctx, std::make_shared<CrToken>(*tok));
+            send_cw(ctx, d.payload);
         } else if (!participating_) {
             participating_ = true;
             auto mine = std::make_shared<CrToken>();
@@ -114,7 +114,7 @@ void ChangRobertsProtocol::on_message(node::Context& ctx, const hw::Delivery& d)
         known_leader_ = win->leader;
         if (win->leader == ctx.self()) return;  // announcement lap complete
         role_ = Role::kLeaderElected;
-        send_cw(ctx, std::make_shared<CrWinner>(*win));
+        send_cw(ctx, d.payload);
         return;
     }
     FASTNET_ENSURES_MSG(false, "unexpected payload in Chang-Roberts");
@@ -184,7 +184,7 @@ void HirschbergSinclairProtocol::on_message(node::Context& ctx, const hw::Delive
     }
     if (const auto* rep = hw::payload_as<HsReply>(d)) {
         if (rep->origin != ctx.self()) {
-            relay(ctx, in, std::make_shared<HsReply>(*rep));
+            relay(ctx, in, d.payload);
             return;
         }
         if (rep->phase != phase_ || replies_pending_ == 0) return;  // stale
@@ -198,7 +198,7 @@ void HirschbergSinclairProtocol::on_message(node::Context& ctx, const hw::Delive
         known_leader_ = win->leader;
         if (win->leader == ctx.self()) return;
         role_ = Role::kLeaderElected;
-        relay(ctx, in, std::make_shared<HsWinner>(*win));
+        relay(ctx, in, d.payload);
         return;
     }
     FASTNET_ENSURES_MSG(false, "unexpected payload in Hirschberg-Sinclair");

@@ -636,7 +636,7 @@ void CallAgentProtocol::on_message(node::Context& ctx, const hw::Delivery& d) {
         note(ctx, rec, CallEvent::kReserved);
         if (!setup->selective_copy) {
             // Hop-by-hop mode: this NCU re-sends the setup onward.
-            ctx.send(one_hop_forward(*setup, i), std::make_shared<SetupMsg>(*setup));
+            ctx.send(one_hop_forward(*setup, i), d.payload);
         }
         return;
     }
@@ -695,7 +695,7 @@ void CallAgentProtocol::on_message(node::Context& ctx, const hw::Delivery& d) {
             // Hop-by-hop mode: pass the teardown onward before releasing.
             hw::AnrHeader hop{rec->to_destination.front(),
                               hw::AnrLabel::normal(hw::kNcuPort)};
-            ctx.send(std::move(hop), std::make_shared<TeardownMsg>(*td));
+            ctx.send(std::move(hop), d.payload);
         }
         release_local(*rec,
                       td->due_to_reject ? CallState::kRejected : CallState::kReleased);
