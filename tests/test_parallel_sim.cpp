@@ -4,9 +4,9 @@
 // at any shard count and any worker-thread count, merges to the SAME
 // bytes — canonical trace, metrics JSON, violations JSON — and to the
 // same completion time. These tests sweep shards {1, 2, 7, 16} x
-// threads {1, 2} over an irregular topology under churn and byte-compare
-// every serialization, then hand the quiesced cluster to the convergence
-// oracle (Theorem 1 must survive the partitioning).
+// threads {1, 2, hardware} over an irregular topology under churn and
+// byte-compare every serialization, then hand the quiesced cluster to
+// the convergence oracle (Theorem 1 must survive the partitioning).
 
 #include <gtest/gtest.h>
 
@@ -105,7 +105,8 @@ TEST(ParallelSim, ByteIdenticalAcrossShardAndThreadCounts) {
     EXPECT_TRUE(baseline.oracle.ok()) << baseline.oracle.summary();
 
     const unsigned shard_counts[] = {2, 7, 16};
-    const unsigned thread_counts[] = {1, 2};
+    // 0 = min(shards, hardware threads): shards really run at once.
+    const unsigned thread_counts[] = {1, 2, 0};
     for (unsigned s : shard_counts) {
         for (unsigned t : thread_counts) {
             SCOPED_TRACE("shards=" + std::to_string(s) + " threads=" + std::to_string(t));
