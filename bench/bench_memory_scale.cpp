@@ -52,6 +52,11 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }
 
+// These counting operators intentionally delegate storage to
+// malloc/free; once make_shared below is inlined against them, GCC
+// pairs the allocation sites with std::free and mis-reports a mismatch.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
 void* operator new(std::size_t size) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size ? size : 1)) return p;

@@ -65,7 +65,7 @@ struct NetCounters {
 /// not what the allocator rounded to): deterministic and portable, so
 /// benches can gate on them across machines.
 struct MemoryBreakdown {
-    std::uint64_t graph = 0;      ///< Topology: edges, chains, CSR.
+    std::uint64_t graph = 0;      ///< Topology: edges and CSR.
     std::uint64_t network = 0;    ///< Fabric: ports, links, packet slabs.
     std::uint64_t runtimes = 0;   ///< NCU runtimes incl. link tables/queues.
     std::uint64_t protocols = 0;  ///< Protocol instances (self-reported).

@@ -2,94 +2,95 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace fastnet::graph {
 
 Graph make_path(NodeId n) {
     FASTNET_EXPECTS(n >= 1);
-    Graph g(n);
+    GraphBuilder g(n);
     for (NodeId i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_cycle(NodeId n) {
     FASTNET_EXPECTS(n >= 3);
-    Graph g(n);
+    GraphBuilder g(n);
     for (NodeId i = 0; i < n; ++i) g.add_edge(i, (i + 1) % n);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_star(NodeId n) {
     FASTNET_EXPECTS(n >= 1);
-    Graph g(n);
+    GraphBuilder g(n);
     for (NodeId i = 1; i < n; ++i) g.add_edge(0, i);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_complete(NodeId n) {
     FASTNET_EXPECTS(n >= 1);
-    Graph g(n);
+    GraphBuilder g(n);
     for (NodeId i = 0; i < n; ++i)
         for (NodeId j = i + 1; j < n; ++j) g.add_edge(i, j);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_complete_binary_tree(unsigned depth) {
     const NodeId n = static_cast<NodeId>((1ULL << (depth + 1)) - 1);
-    Graph g(n);
+    GraphBuilder g(n);
     for (NodeId i = 1; i < n; ++i) g.add_edge((i - 1) / 2, i);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_kary_tree(NodeId n, unsigned k) {
     FASTNET_EXPECTS(n >= 1 && k >= 1);
-    Graph g(n);
+    GraphBuilder g(n);
     for (NodeId i = 1; i < n; ++i) g.add_edge((i - 1) / k, i);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_caterpillar(NodeId spine, NodeId legs) {
     FASTNET_EXPECTS(spine >= 1);
     const NodeId n = spine + spine * legs;
-    Graph g(n);
+    GraphBuilder g(n);
     for (NodeId i = 0; i + 1 < spine; ++i) g.add_edge(i, i + 1);
     NodeId next = spine;
     for (NodeId i = 0; i < spine; ++i)
         for (NodeId l = 0; l < legs; ++l) g.add_edge(i, next++);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_grid(NodeId width, NodeId height) {
     FASTNET_EXPECTS(width >= 1 && height >= 1);
-    Graph g(width * height);
+    GraphBuilder g(width * height);
     auto id = [width](NodeId x, NodeId y) { return y * width + x; };
     for (NodeId y = 0; y < height; ++y)
         for (NodeId x = 0; x < width; ++x) {
             if (x + 1 < width) g.add_edge(id(x, y), id(x + 1, y));
             if (y + 1 < height) g.add_edge(id(x, y), id(x, y + 1));
         }
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_hypercube(unsigned dim) {
     FASTNET_EXPECTS(dim <= 20);
     const NodeId n = static_cast<NodeId>(1u << dim);
-    Graph g(n);
+    GraphBuilder g(n);
     for (NodeId u = 0; u < n; ++u)
         for (unsigned b = 0; b < dim; ++b) {
             const NodeId v = u ^ (1u << b);
             if (u < v) g.add_edge(u, v);
         }
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_random_tree(NodeId n, Rng& rng) {
     FASTNET_EXPECTS(n >= 1);
-    Graph g(n);
-    if (n == 1) return g;
+    GraphBuilder g(n);
+    if (n == 1) return std::move(g).build();
     if (n == 2) {
         g.add_edge(0, 1);
-        return g;
+        return std::move(g).build();
     }
     // Decode a uniformly random Pruefer sequence of length n-2.
     std::vector<NodeId> pruefer(n - 2);
@@ -116,37 +117,37 @@ Graph make_random_tree(NodeId n, Rng& rng) {
     leaves.pop_back();
     const NodeId b = leaves.front();
     g.add_edge(a, b);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_random_connected(NodeId n, std::uint64_t p_num, std::uint64_t p_den, Rng& rng) {
     FASTNET_EXPECTS(n >= 1);
     Graph tree = make_random_tree(n, rng);
-    Graph g(n);
+    GraphBuilder g(n);
     for (const Edge& e : tree.edges()) g.add_edge(e.a, e.b);
     for (NodeId i = 0; i < n; ++i)
         for (NodeId j = i + 1; j < n; ++j)
             if (!g.has_edge(i, j) && rng.chance(p_num, p_den)) g.add_edge(i, j);
-    return g;
+    return std::move(g).build();
 }
 
 Graph make_podc_example() {
-    Graph g(6);
+    GraphBuilder g(6);
     g.add_edge(0, 1);  // (u, v)
     g.add_edge(1, 2);  // (v, w)
     g.add_edge(2, 0);  // (w, u)
     g.add_edge(0, 3);  // (u, u1)
     g.add_edge(1, 4);  // (v, v1)
     g.add_edge(2, 5);  // (w, w1)
-    return g;
+    return std::move(g).build();
 }
 
 Graph disjoint_union(const Graph& a, const Graph& b) {
-    Graph g(a.node_count() + b.node_count());
+    GraphBuilder g(a.node_count() + b.node_count());
     for (const Edge& e : a.edges()) g.add_edge(e.a, e.b);
     const NodeId off = a.node_count();
     for (const Edge& e : b.edges()) g.add_edge(e.a + off, e.b + off);
-    return g;
+    return std::move(g).build();
 }
 
 RootedTree random_spanning_tree(const Graph& g, NodeId root, Rng& rng) {
@@ -164,15 +165,16 @@ RootedTree random_spanning_tree(const Graph& g, NodeId root, Rng& rng) {
         }
         return x;
     };
-    Graph tree(g.node_count());
+    GraphBuilder builder(g.node_count());
     for (EdgeId e : order) {
         const Edge& ed = g.edge(e);
         const NodeId ra = find(ed.a), rb = find(ed.b);
         if (ra != rb) {
             dsu[ra] = rb;
-            tree.add_edge(ed.a, ed.b);
+            builder.add_edge(ed.a, ed.b);
         }
     }
+    const Graph tree = std::move(builder).build();
     // Orient the tree away from root by BFS.
     std::vector<NodeId> parent(g.node_count(), kNoNode);
     std::vector<NodeId> queue{root};

@@ -3,21 +3,20 @@
 // This is the static description of a network: nodes are NCU-equipped
 // switches, edges are bidirectional communication links (Section 2 of the
 // paper). Dynamic state (active / inactive links) lives in hw::Network;
-// the Graph itself is immutable once built, which lets algorithms and the
-// simulator share one instance by const reference.
+// the Graph itself is immutable, which lets algorithms and the simulator —
+// including every shard thread of the parallel kernel — share one
+// instance by const reference without synchronization.
 //
 // Storage is struct-of-arrays throughout — a deliberate choice for
-// million-node topologies (docs/PERF.md, "Memory at scale"). During
-// construction, incidence is kept as intrusive per-node chains over
-// half-edge ids (edge e contributes half-edges 2e and 2e+1); the first
-// incident() call compacts them into a CSR layout (offsets_ + one flat
-// incident_ array) by a counting pass over edges_ in id order, which
-// reproduces per-node insertion order exactly. No per-node heap objects
-// exist at any point. The lazy compaction mutates `mutable` state: the
-// first incident()/neighbors() call on a given Graph instance must not
-// race with other accesses (in practice every Graph is finalized on the
-// thread that built it — e.g. hw::Network's constructor — before any
-// parallel phase starts).
+// million-node topologies (docs/PERF.md, "Memory at scale"). Graphs are
+// built in two steps. A GraphBuilder keeps incidence as intrusive per-node
+// chains over half-edge ids (edge e contributes half-edges 2e and 2e+1),
+// so edges can be added and probed in O(min degree). GraphBuilder::build()
+// then compacts the chains into the Graph's CSR layout (offsets_ + one
+// flat incident_ array) by a counting pass over the edges in id order,
+// which reproduces per-node insertion order exactly. A Graph is complete
+// when it is constructed: no const accessor mutates anything. No per-node
+// heap objects exist at any point.
 #pragma once
 
 #include <span>
@@ -46,28 +45,25 @@ struct Edge {
     }
 };
 
-/// Immutable undirected simple graph.
+class GraphBuilder;
+
+/// Immutable undirected simple graph. Built by GraphBuilder (or a
+/// generator); the default-constructed Graph has no nodes.
 class Graph {
 public:
     Graph() = default;
-    explicit Graph(NodeId node_count)
-        : head_(node_count, kNoHalf), degree_(node_count, 0) {}
 
     /// Number of nodes, n.
-    NodeId node_count() const { return static_cast<NodeId>(head_.size()); }
+    NodeId node_count() const {
+        return offsets_.empty() ? 0 : static_cast<NodeId>(offsets_.size() - 1);
+    }
     /// Number of edges, m.
     EdgeId edge_count() const { return static_cast<EdgeId>(edges_.size()); }
 
-    /// Adds an undirected edge {a, b}. Parallel edges and self-loops are
-    /// rejected (the paper's model assigns unique per-switch link ids,
-    /// which a simple graph always admits).
-    EdgeId add_edge(NodeId a, NodeId b);
-
     /// True if {a, b} is an edge.
-    bool has_edge(NodeId a, NodeId b) const;
+    bool has_edge(NodeId a, NodeId b) const { return find_edge(a, b) != kNoEdge; }
 
-    /// Edge id of {a, b}, or kNoEdge. O(min degree) over the half-edge
-    /// chains; never forces the CSR build.
+    /// Edge id of {a, b}, or kNoEdge. O(min degree).
     EdgeId find_edge(NodeId a, NodeId b) const;
 
     const Edge& edge(EdgeId e) const {
@@ -78,13 +74,12 @@ public:
     /// All edges incident to u, in insertion order (deterministic).
     std::span<const IncidentEdge> incident(NodeId u) const {
         FASTNET_EXPECTS(u < node_count());
-        if (!csr_valid_) build_csr();
         return {incident_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
     }
 
     std::size_t degree(NodeId u) const {
         FASTNET_EXPECTS(u < node_count());
-        return degree_[u];
+        return offsets_[u + 1] - offsets_[u];
     }
 
     /// Neighbor list of u (materialized copy; prefer incident() in loops).
@@ -92,14 +87,45 @@ public:
 
     std::span<const Edge> edges() const { return edges_; }
 
-    /// Heap bytes held by this graph (capacities, both the build chains
-    /// and the CSR) — a cost::Metrics memory-ledger input.
+    /// Heap bytes held by this graph (capacities of the edge list and
+    /// the CSR) — a cost::Metrics memory-ledger input.
     std::size_t memory_bytes() const;
 
 private:
-    static constexpr std::uint32_t kNoHalf = 0xffffffffu;
+    friend class GraphBuilder;
 
-    void build_csr() const;
+    std::vector<Edge> edges_;
+    std::vector<std::uint32_t> offsets_;   ///< n + 1 prefix sums (empty: n = 0).
+    std::vector<IncidentEdge> incident_;   ///< 2m entries.
+};
+
+/// Adds edges one at a time, then yields the immutable Graph.
+class GraphBuilder {
+public:
+    explicit GraphBuilder(NodeId node_count)
+        : head_(node_count, kNoHalf), degree_(node_count, 0) {}
+
+    NodeId node_count() const { return static_cast<NodeId>(head_.size()); }
+    EdgeId edge_count() const { return static_cast<EdgeId>(edges_.size()); }
+
+    /// Adds an undirected edge {a, b}. Parallel edges and self-loops are
+    /// rejected (the paper's model assigns unique per-switch link ids,
+    /// which a simple graph always admits).
+    EdgeId add_edge(NodeId a, NodeId b);
+
+    /// True if {a, b} has been added.
+    bool has_edge(NodeId a, NodeId b) const { return find_edge(a, b) != kNoEdge; }
+
+    /// Edge id of {a, b}, or kNoEdge. O(min degree) over the half-edge
+    /// chains.
+    EdgeId find_edge(NodeId a, NodeId b) const;
+
+    /// Compacts the chains into the Graph's CSR and hands the edges over;
+    /// the builder is left empty.
+    Graph build() &&;
+
+private:
+    static constexpr std::uint32_t kNoHalf = 0xffffffffu;
 
     std::vector<Edge> edges_;
     /// Per node: most recently added incident half-edge, or kNoHalf.
@@ -107,11 +133,6 @@ private:
     /// Per half-edge 2e (+1): next half-edge at the same endpoint.
     std::vector<std::uint32_t> half_next_;
     std::vector<std::uint32_t> degree_;
-
-    /// CSR incidence, built lazily from edges_ (see file comment).
-    mutable bool csr_valid_ = false;
-    mutable std::vector<std::uint32_t> offsets_;  ///< n + 1 prefix sums.
-    mutable std::vector<IncidentEdge> incident_;  ///< 2m entries.
 };
 
 }  // namespace fastnet::graph

@@ -22,8 +22,6 @@ Network::Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
       edge_ports_(g.edge_count(), {kNoPort, kNoPort}),
       links_(g.edge_count()) {
     FASTNET_EXPECTS(metrics.node_count() == g.node_count());
-    // This loop also finalizes the graph's CSR on the constructing thread
-    // — mirrors sharing one graph in parallel mode rely on that.
     std::size_t max_degree = 0;
     for (NodeId u = 0; u < g.node_count(); ++u) {
         PortId p = 0;

@@ -1,5 +1,7 @@
-// Tests for the immutable Graph container.
+// Tests for the immutable Graph container and its builder.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "common/expect.hpp"
 #include "graph/graph.hpp"
@@ -14,9 +16,13 @@ TEST(Graph, EmptyGraph) {
 }
 
 TEST(Graph, AddEdgeBasics) {
-    Graph g(3);
-    const EdgeId e = g.add_edge(0, 1);
+    GraphBuilder b(3);
+    const EdgeId e = b.add_edge(0, 1);
     EXPECT_EQ(e, 0u);
+    EXPECT_TRUE(b.has_edge(1, 0));
+    EXPECT_EQ(b.edge_count(), 1u);
+    const Graph g = std::move(b).build();
+    EXPECT_EQ(g.node_count(), 3u);
     EXPECT_TRUE(g.has_edge(0, 1));
     EXPECT_TRUE(g.has_edge(1, 0));
     EXPECT_FALSE(g.has_edge(0, 2));
@@ -26,44 +32,49 @@ TEST(Graph, AddEdgeBasics) {
 }
 
 TEST(Graph, EdgeOtherEndpoint) {
-    Graph g(2);
-    g.add_edge(0, 1);
+    GraphBuilder b(2);
+    b.add_edge(0, 1);
+    const Graph g = std::move(b).build();
     EXPECT_EQ(g.edge(0).other(0), 1u);
     EXPECT_EQ(g.edge(0).other(1), 0u);
     EXPECT_THROW(g.edge(0).other(5), ContractViolation);
 }
 
 TEST(Graph, RejectsSelfLoop) {
-    Graph g(2);
-    EXPECT_THROW(g.add_edge(1, 1), ContractViolation);
+    GraphBuilder b(2);
+    EXPECT_THROW(b.add_edge(1, 1), ContractViolation);
 }
 
 TEST(Graph, RejectsParallelEdge) {
-    Graph g(2);
-    g.add_edge(0, 1);
-    EXPECT_THROW(g.add_edge(0, 1), ContractViolation);
-    EXPECT_THROW(g.add_edge(1, 0), ContractViolation);
+    GraphBuilder b(2);
+    b.add_edge(0, 1);
+    EXPECT_THROW(b.add_edge(0, 1), ContractViolation);
+    EXPECT_THROW(b.add_edge(1, 0), ContractViolation);
 }
 
 TEST(Graph, RejectsOutOfRangeEndpoints) {
-    Graph g(2);
-    EXPECT_THROW(g.add_edge(0, 2), ContractViolation);
+    GraphBuilder b(2);
+    EXPECT_THROW(b.add_edge(0, 2), ContractViolation);
 }
 
 TEST(Graph, FindEdgeReturnsId) {
-    Graph g(4);
-    g.add_edge(0, 1);
-    const EdgeId e = g.add_edge(2, 3);
+    GraphBuilder b(4);
+    b.add_edge(0, 1);
+    const EdgeId e = b.add_edge(2, 3);
+    EXPECT_EQ(b.find_edge(3, 2), e);
+    EXPECT_EQ(b.find_edge(0, 3), kNoEdge);
+    const Graph g = std::move(b).build();
     EXPECT_EQ(g.find_edge(2, 3), e);
     EXPECT_EQ(g.find_edge(3, 2), e);
     EXPECT_EQ(g.find_edge(0, 3), kNoEdge);
 }
 
 TEST(Graph, IncidentOrderIsInsertionOrder) {
-    Graph g(4);
-    g.add_edge(0, 2);
-    g.add_edge(0, 1);
-    g.add_edge(0, 3);
+    GraphBuilder b(4);
+    b.add_edge(0, 2);
+    b.add_edge(0, 1);
+    b.add_edge(0, 3);
+    const Graph g = std::move(b).build();
     const auto inc = g.incident(0);
     ASSERT_EQ(inc.size(), 3u);
     EXPECT_EQ(inc[0].neighbor, 2u);
@@ -72,9 +83,10 @@ TEST(Graph, IncidentOrderIsInsertionOrder) {
 }
 
 TEST(Graph, NeighborsMatchesIncident) {
-    Graph g(5);
-    g.add_edge(1, 0);
-    g.add_edge(1, 4);
+    GraphBuilder b(5);
+    b.add_edge(1, 0);
+    b.add_edge(1, 4);
+    const Graph g = std::move(b).build();
     const auto nb = g.neighbors(1);
     ASSERT_EQ(nb.size(), 2u);
     EXPECT_EQ(nb[0], 0u);
@@ -82,12 +94,13 @@ TEST(Graph, NeighborsMatchesIncident) {
 }
 
 TEST(Graph, DegreeSumIsTwiceEdges) {
-    Graph g(6);
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-    g.add_edge(2, 3);
-    g.add_edge(3, 0);
-    g.add_edge(4, 5);
+    GraphBuilder b(6);
+    b.add_edge(0, 1);
+    b.add_edge(1, 2);
+    b.add_edge(2, 3);
+    b.add_edge(3, 0);
+    b.add_edge(4, 5);
+    const Graph g = std::move(b).build();
     std::size_t sum = 0;
     for (NodeId u = 0; u < g.node_count(); ++u) sum += g.degree(u);
     EXPECT_EQ(sum, 2u * g.edge_count());

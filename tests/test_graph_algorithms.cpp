@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -24,8 +25,9 @@ TEST(Bfs, FilterRestrictsEdges) {
 }
 
 TEST(Bfs, UnreachableNodesMarked) {
-    Graph g(4);
-    g.add_edge(0, 1);
+    GraphBuilder b(4);
+    b.add_edge(0, 1);
+    const Graph g = std::move(b).build();
     const auto r = bfs(g, 0);
     EXPECT_EQ(r.dist[2], BfsResult::kUnreached);
     EXPECT_EQ(r.parent[2], kNoNode);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -88,13 +89,14 @@ TEST(Partition, ClampsShardCountToNodes) {
 
 TEST(Partition, HandlesDisconnectedGraphs) {
     // Two triangles and an isolated node; BFS must restart per component.
-    Graph g(7);
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-    g.add_edge(2, 0);
-    g.add_edge(3, 4);
-    g.add_edge(4, 5);
-    g.add_edge(5, 3);
+    GraphBuilder b(7);
+    b.add_edge(0, 1);
+    b.add_edge(1, 2);
+    b.add_edge(2, 0);
+    b.add_edge(3, 4);
+    b.add_edge(4, 5);
+    b.add_edge(5, 3);
+    const Graph g = std::move(b).build();
     for (std::uint32_t s : {1u, 2u, 3u, 7u}) expect_valid(g, partition_bfs(g, s));
 }
 
@@ -169,11 +171,12 @@ TEST(PartitionWeighted, IsDeterministic) {
 TEST(PartitionWeighted, PrefersToCutTheExpensiveEdge) {
     // Two 3-cliques of cheap (delay 1) edges joined by one expensive
     // (delay 9) bridge: a 2-way split must cut exactly the bridge.
-    Graph g(6);
+    GraphBuilder builder(6);
     const std::vector<std::pair<NodeId, NodeId>> cheap = {
         {0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}};
-    for (auto [a, b] : cheap) g.add_edge(a, b);
-    const EdgeId bridge = g.add_edge(2, 3);
+    for (auto [a, b] : cheap) builder.add_edge(a, b);
+    const EdgeId bridge = builder.add_edge(2, 3);
+    const Graph g = std::move(builder).build();
     std::vector<Tick> delays(g.edge_count(), 1);
     delays[bridge] = 9;
     const Partition p = partition_bfs_weighted(g, 2, delays);
@@ -205,13 +208,14 @@ TEST(PartitionWeighted, BoundaryLookaheadAtLeastMatchesUnweighted) {
 TEST(PartitionWeighted, UniformDelaysStillBalancedAndContiguousish) {
     // With uniform delays the weighted variant has no signal; it must
     // still produce a valid balanced partition of a disconnected graph.
-    Graph g(7);
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-    g.add_edge(2, 0);
-    g.add_edge(3, 4);
-    g.add_edge(4, 5);
-    g.add_edge(5, 3);
+    GraphBuilder b(7);
+    b.add_edge(0, 1);
+    b.add_edge(1, 2);
+    b.add_edge(2, 0);
+    b.add_edge(3, 4);
+    b.add_edge(4, 5);
+    b.add_edge(5, 3);
+    const Graph g = std::move(b).build();
     const std::vector<Tick> delays(g.edge_count(), 4);
     for (std::uint32_t s : {1u, 2u, 3u, 7u})
         expect_valid(g, partition_bfs_weighted(g, s, delays));
