@@ -2,12 +2,28 @@
 // the capture merge (Section 4.1's data-structure mechanics).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "election/inout_tree.hpp"
 
 namespace fastnet::elect {
+
+/// Test-only access to an InOutTree's arrays, so a test can break one
+/// property at a time and watch invariants_hold() notice.
+struct InOutTreeTestPeer {
+    static auto& slot(InOutTree& t, NodeId u) { return t.slots_[t.slot_of(u)]; }
+    static auto slot_id(const InOutTree& t, NodeId u) { return t.slot_of(u); }
+    static auto& slots(InOutTree& t) { return t.slots_; }
+    static auto& index(InOutTree& t) { return t.index_; }
+    static std::size_t& in_count(InOutTree& t) { return t.in_count_; }
+};
+
 namespace {
 
 using hw::AnrLabel;
+using Peer = InOutTreeTestPeer;
 
 TEST(InOutTree, SingletonDomain) {
     const InOutTree t(3);
@@ -174,6 +190,97 @@ TEST(InOutTree, AbsorbRejectsBadGraftPoint) {
     // 3 is OUT in the victim, not IN.
     InOutTree mine2 = domain_with_outs(0, {3});
     EXPECT_THROW(mine2.absorb(victim, 3), ContractViolation);
+}
+
+/// A merged tree: IN path 0 - 1 - 2 - 3 with OUT leaves 9 (under 0) and
+/// 4 (under 3).
+InOutTree merged_path() {
+    InOutTree t(0);
+    t.add_out(1, 0, 1, 1);
+    t.add_out(9, 0, 2, 1);
+    for (NodeId v = 1; v <= 3; ++v) {
+        InOutTree single(v);
+        single.add_out(v + 1, v, 2, 1);
+        t.absorb(single, v);
+    }
+    return t;
+}
+
+TEST(InOutTree, MergedPathIsWellFormed) {
+    const InOutTree t = merged_path();
+    EXPECT_TRUE(t.invariants_hold());
+    EXPECT_EQ(t.in_nodes(), (std::vector<NodeId>{0, 1, 2, 3}));
+    EXPECT_EQ(t.out_nodes(), (std::vector<NodeId>{4, 9}));
+    EXPECT_EQ(t.path_from_root(4), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+}
+
+// Each test below breaks exactly one property of a well-formed tree; the
+// whole-tree check must report it.
+
+TEST(InOutTree, CheckCatchesParentCycle) {
+    InOutTree t = merged_path();
+    // 1 hangs under 3: 1 -> 3 -> 2 -> 1, every link otherwise consistent.
+    auto& one = Peer::slot(t, 1);
+    one.parent = Peer::slot_id(t, 3);
+    one.entry.parent = 3;
+    EXPECT_FALSE(t.invariants_hold());
+}
+
+TEST(InOutTree, CheckCatchesDanglingParentSlot) {
+    InOutTree t = merged_path();
+    Peer::slot(t, 2).parent = static_cast<std::uint32_t>(Peer::slots(t).size());
+    EXPECT_FALSE(t.invariants_hold());
+}
+
+TEST(InOutTree, CheckCatchesParentSlotNamingAnotherId) {
+    InOutTree t = merged_path();
+    Peer::slot(t, 3).parent = Peer::slot_id(t, 1);  // Entry::parent still says 2
+    EXPECT_FALSE(t.invariants_hold());
+}
+
+TEST(InOutTree, CheckCatchesNodeUnderOutNode) {
+    InOutTree t = merged_path();
+    auto& four = Peer::slot(t, 4);
+    four.parent = Peer::slot_id(t, 9);  // 9 is an OUT leaf
+    four.entry.parent = 9;
+    EXPECT_FALSE(t.invariants_hold());
+}
+
+TEST(InOutTree, CheckCatchesWrongInCount) {
+    InOutTree t = merged_path();
+    ++Peer::in_count(t);
+    EXPECT_FALSE(t.invariants_hold());
+}
+
+TEST(InOutTree, CheckCatchesIndexOutOfOrder) {
+    InOutTree t = merged_path();
+    auto& index = Peer::index(t);
+    std::swap(index[1], index[2]);  // each still points at its own slot
+    EXPECT_FALSE(t.invariants_hold());
+}
+
+TEST(InOutTree, CheckCatchesIndexPointingAtWrongSlot) {
+    InOutTree t = merged_path();
+    auto& index = Peer::index(t);
+    ASSERT_EQ(index[2].id, 2u);
+    index[2].slot = Peer::slot_id(t, 3);
+    EXPECT_FALSE(t.invariants_hold());
+}
+
+TEST(InOutTree, MemoryIsTheCapacityOfBothArrays) {
+    // The rule in the header: the object plus the capacity of the slot
+    // and index arrays at their element sizes. An entry costs one slot
+    // (id, parent slot, Entry) and one index pair, with no padding.
+    InOutTree t = merged_path();
+    const auto& slots = Peer::slots(t);
+    const auto& index = Peer::index(t);
+    const std::size_t entries = t.in_count() + t.out_count();
+    ASSERT_EQ(slots.size(), entries);
+    ASSERT_EQ(index.size(), entries);
+    EXPECT_EQ(t.memory_bytes(), sizeof(InOutTree) + slots.capacity() * sizeof(slots[0]) +
+                                    index.capacity() * sizeof(index[0]));
+    EXPECT_EQ(sizeof(slots[0]), 2 * sizeof(NodeId) + sizeof(InOutTree::Entry));
+    EXPECT_EQ(sizeof(index[0]), 2 * sizeof(NodeId));
 }
 
 }  // namespace
