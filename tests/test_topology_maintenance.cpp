@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 
+#include "fnv1a.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "node/parallel_cluster.hpp"
@@ -16,6 +17,7 @@ namespace fastnet::topo {
 namespace {
 
 using graph::Graph;
+using test_util::fnv1a;
 
 node::Cluster make_cluster(const Graph& g, TopologyOptions opt,
                            node::ClusterConfig cfg = {}) {
@@ -259,16 +261,6 @@ TEST(TopologyMaintenance, IsolatedNodeStaysQuietAndSelfConsistent) {
     EXPECT_TRUE(view_converged(c.protocol_as<TopologyMaintenance>(3), c.network(), 3));
     // The rest converge among themselves.
     EXPECT_TRUE(all_views_converged(c));
-}
-
-/// FNV-1a (64-bit): a compact fingerprint of a canonical export.
-std::uint64_t fnv1a(const std::string& bytes) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const unsigned char ch : bytes) {
-        h ^= ch;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
 }
 
 /// A seeded 64-node maintenance storm with one link flap on the sharded
