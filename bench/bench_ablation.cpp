@@ -47,7 +47,7 @@ void ablation_a1(bench::JsonReporter& out) {
     };
     const auto rows = exec::sweep_map(grid, [](const Point& p, exec::TaskContext&) {
         const auto with = topo::run_broadcast(p.graph, BroadcastScheme::kBranchingPaths, 0);
-        node::ClusterConfig cfg;
+        node::ParallelClusterConfig cfg;
         cfg.free_multisend = false;
         const auto without =
             topo::run_broadcast(p.graph, BroadcastScheme::kBranchingPaths, 0, cfg);
@@ -147,7 +147,7 @@ void ablation_a4(bench::JsonReporter& out) {
         const auto worst = gsf::run_tree_gather(r.tree, params);
         // Re-run with randomized sub-worst-case delays: C' in [0, C],
         // P' in [1, P]; FIFO still enforced per link.
-        node::ClusterConfig cfg;
+        node::ParallelClusterConfig cfg;
         cfg.params = params;
         cfg.net.hop_delay_min = 0;
         cfg.ncu_delay_min = 1;
@@ -158,7 +158,7 @@ void ablation_a4(bench::JsonReporter& out) {
         Rng rin(99);
         spec->inputs.resize(pt.n);
         for (auto& v : spec->inputs) v = rin.below(1000);
-        node::Cluster cluster(graph::make_complete(static_cast<NodeId>(pt.n)),
+        node::ParallelCluster cluster(graph::make_complete(static_cast<NodeId>(pt.n)),
                               [&spec](NodeId) {
                                   return std::make_unique<gsf::TreeGatherProtocol>(spec);
                               },
@@ -199,7 +199,7 @@ void ablation_a6(bench::JsonReporter& out) {
     const auto rows = exec::sweep_map(grid, [](const Point& p, exec::TaskContext&) {
         const graph::Graph g = graph::make_complete_binary_tree(p.depth);
         const auto free = topo::run_broadcast(g, p.scheme, 0);
-        node::ClusterConfig cfg;
+        node::ParallelClusterConfig cfg;
         cfg.net.link_spacing = 1;
         const auto spaced = topo::run_broadcast(g, p.scheme, 0, cfg);
         return Row{static_cast<double>(free.time_units),
@@ -224,7 +224,7 @@ void ablation_a6(bench::JsonReporter& out) {
 
 void bm_broadcast_serialized_sends(benchmark::State& state) {
     const graph::Graph g = graph::make_star(static_cast<NodeId>(state.range(0)));
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.free_multisend = false;
     for (auto _ : state) {
         const auto out = topo::run_broadcast(g, BroadcastScheme::kBranchingPaths, 0, cfg);

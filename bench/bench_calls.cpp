@@ -26,12 +26,11 @@ void experiment_setup_latency(bench::JsonReporter& rep) {
             const graph::Graph g = graph::make_path(n);
             std::map<NodeId, std::vector<CallRequest>> scripts{
                 {0, {CallRequest{1, n - 1, 1, -1}}}};
-            node::Cluster c(g, paris::make_call_agents(g, 4, scripts, copy));
+            node::ParallelCluster c(g, paris::make_call_agents(g, 4, scripts, copy));
             c.start_all(0);
-            c.run();
+            const Tick done = c.run();
             FASTNET_ENSURES(c.protocol_as<paris::CallAgentProtocol>(0).calls_active() == 1);
-            return std::pair{c.simulator().now(),
-                             c.metrics().total_message_system_calls()};
+            return std::pair{done, c.merged_metrics().total_message_system_calls()};
         };
         const auto [t_copy, c_copy] = run_mode(true);
         const auto [t_seq, c_seq] = run_mode(false);
@@ -60,7 +59,7 @@ void experiment_admission(bench::JsonReporter& rep) {
             scripts[src].push_back(CallRequest{static_cast<Tick>(1 + rng.below(500)), dst,
                                                1, static_cast<Tick>(100 + rng.below(300))});
         }
-        node::Cluster c(g, paris::make_call_agents(g, cap, scripts));
+        node::ParallelCluster c(g, paris::make_call_agents(g, cap, scripts));
         c.start_all(0);
         c.run();
         unsigned carried = 0, rejected = 0, failed = 0;
@@ -160,9 +159,9 @@ void experiment_sustained_load(bench::JsonReporter& rep) {
         opt.workload.first_at = 1;
         opt.workload.until = kUntil;
 
-        node::ClusterConfig cfg;
+        node::ParallelClusterConfig cfg;
         cfg.net.loss_ppm = row.loss_ppm;
-        node::Cluster c(*g, paris::make_call_workload(g, opt), cfg);
+        node::ParallelCluster c(*g, paris::make_call_workload(g, opt), cfg);
         c.start_all(0);
         if (row.crashes) {
             node::Scenario s;
@@ -170,7 +169,7 @@ void experiment_sustained_load(bench::JsonReporter& rep) {
             // while the workload is still offering load.
             s.crash_node(kUntil / 3, 27).restart_node(kUntil / 3 + 500, 27);
             s.crash_node(kUntil / 2, 36).restart_node(kUntil / 2 + 500, 36);
-            s.apply(c);
+            c.schedule(s);
         }
 
         const auto t0 = std::chrono::steady_clock::now();
@@ -222,10 +221,9 @@ void bm_call_setup_roundtrip(benchmark::State& state) {
     for (auto _ : state) {
         std::map<NodeId, std::vector<CallRequest>> scripts{
             {0, {CallRequest{1, n - 1, 1, -1}}}};
-        node::Cluster c(g, paris::make_call_agents(g, 4, scripts));
+        node::ParallelCluster c(g, paris::make_call_agents(g, 4, scripts));
         c.start_all(0);
-        c.run();
-        benchmark::DoNotOptimize(c.simulator().now());
+        benchmark::DoNotOptimize(c.run());
     }
 }
 BENCHMARK(bm_call_setup_roundtrip)->Range(8, 128);

@@ -29,21 +29,17 @@ using namespace fastnet;
 using topo::BroadcastScheme;
 using topo::TopologyOptions;
 
-std::unique_ptr<node::Cluster> podc_scenario(TopologyOptions opt) {
+std::unique_ptr<node::ParallelCluster> podc_scenario(TopologyOptions opt) {
     const graph::Graph g = graph::make_podc_example();
     opt.dfs_preference = {{1}, {2}, {0}, {}, {}, {}};
     opt.period = 64;
-    auto c = std::make_unique<node::Cluster>(
+    auto c = std::make_unique<node::ParallelCluster>(
         g, topo::make_topology_maintenance(g.node_count(), opt));
     c->start_all(0);
-    node::Cluster& cl = *c;
-    cl.simulator().at(300, [&cl] {
-        const graph::Graph& cg = cl.graph();
-        cl.network().fail_link(cg.find_edge(0, 3));
-        cl.network().fail_link(cg.find_edge(1, 4));
-        cl.network().fail_link(cg.find_edge(2, 5));
-    });
-    cl.run();
+    c->fail_link(300, g.find_edge(0, 3));
+    c->fail_link(300, g.find_edge(1, 4));
+    c->fail_link(300, g.find_edge(2, 5));
+    c->run();
     return c;
 }
 
@@ -68,7 +64,7 @@ void experiment_e4(bench::JsonReporter& out) {
         opt.rounds = 40;
         auto cl = podc_scenario(opt);
         return Row{topo::all_views_converged(*cl),
-                   cl->metrics().total_message_system_calls()};
+                   cl->merged_metrics().total_message_system_calls()};
     });
     util::Table t({"scheme", "payload", "rounds_run", "converged", "system_calls"});
     for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -90,7 +86,7 @@ unsigned rounds_to_converge(const graph::Graph& g, bool full_knowledge, unsigned
         opt.rounds = r;
         opt.full_knowledge = full_knowledge;
         opt.period = 64;
-        node::Cluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
+        node::ParallelCluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
         c.start_all(0);
         c.run();
         if (topo::all_views_converged(c)) return r;
@@ -188,12 +184,12 @@ void experiment_e5_failures(bench::JsonReporter& out) {
         TopologyOptions opt;
         opt.rounds = 16;
         opt.period = 64;
-        node::Cluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
+        node::ParallelCluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
         c.start_all(0);
         Rng chaos(kills * 17 + 1);
         for (unsigned i = 0; i < kills; ++i) {
             const EdgeId e = static_cast<EdgeId>(chaos.below(g.edge_count()));
-            c.simulator().at(100 + 40 * i, [&c, e] { c.network().fail_link(e); });
+            c.fail_link(100 + 40 * i, e);
         }
         c.run();
         return Row{topo::all_views_converged(c), g.node_count()};
@@ -215,10 +211,10 @@ void bm_maintenance_round(benchmark::State& state) {
         TopologyOptions opt;
         opt.rounds = 2;
         opt.period = 64;
-        node::Cluster c(g, topo::make_topology_maintenance(n, opt));
+        node::ParallelCluster c(g, topo::make_topology_maintenance(n, opt));
         c.start_all(0);
         c.run();
-        benchmark::DoNotOptimize(c.metrics().total_message_system_calls());
+        benchmark::DoNotOptimize(c.merged_metrics().total_message_system_calls());
     }
 }
 BENCHMARK(bm_maintenance_round)->Range(32, 128);

@@ -24,7 +24,7 @@
 // Reported numbers (BENCH_critical_path.json): witness latency and depth,
 // per-segment ticks, streaming throughput (ns/record), and the million-
 // node extraction's peak resident bytes — units `path_ticks` and
-// `segments` are lower-is-better in scripts/bench_diff.py.
+// `segments` are lower-is-better in `fastnet_report --history`.
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -153,28 +153,22 @@ struct MillionPoint {
 /// horizon sweeps chain state the election has moved past, so the
 /// builder's footprint is a window, not the trace.
 MillionPoint measure_million_node_extraction(NodeId n, std::size_t budget) {
-    const std::string path = "BENCH_critical_path.fnspill";
+    const std::string dir = "BENCH_critical_path.spill";
 
-    auto trace = std::make_shared<sim::Trace>(std::size_t{1} << 16);
-    trace->disable_all();
-    trace->set_enabled(sim::TraceKind::kSend, true);
-    trace->set_enabled(sim::TraceKind::kDeliver, true);
-    sim::TraceSpillConfig spill;
-    spill.path = path;
-    spill.resident_budget_bytes = budget;
-    std::string error;
-    FASTNET_ENSURES_MSG(trace->enable_spill(spill, &error), "spill enable failed");
-
-    node::ClusterConfig cfg;
-    cfg.trace = trace;
-    node::Cluster cluster(graph::make_cycle(n), [](NodeId u) {
+    node::ParallelClusterConfig cfg;
+    cfg.trace_capacity = std::size_t{1} << 16;
+    cfg.trace_kinds =
+        sim::trace_kind_bit(sim::TraceKind::kSend) | sim::trace_kind_bit(sim::TraceKind::kDeliver);
+    cfg.trace_spill_dir = dir;
+    cfg.trace_budget_bytes = budget;
+    node::ParallelCluster cluster(graph::make_cycle(n), [](NodeId u) {
         return std::make_unique<elect::ChangRobertsProtocol>(u);
     }, cfg);
     cluster.start_all(0);
     cluster.run();
     FASTNET_ENSURES(cluster.protocol_as<elect::ChangRobertsProtocol>(0).known_leader() !=
                     kNoNode);
-    const cost::TraceStats& stats = cluster.metrics().trace_stats();
+    const cost::TraceStats stats = cluster.merged_metrics().trace_stats();
     FASTNET_ENSURES_MSG(stats.dropped == 0, "spill-enabled trace dropped records");
     FASTNET_ENSURES_MSG(stats.spilled_records == stats.total_recorded,
                         "spill file is missing records");
@@ -185,9 +179,10 @@ MillionPoint measure_million_node_extraction(NodeId n, std::size_t budget) {
     cp.anchor_root_deliveries = false;   // no timers traced; root legs self-anchor
     MillionPoint p;
     p.records = stats.total_recorded;
+    std::string error;
     const auto t0 = std::chrono::steady_clock::now();
     FASTNET_ENSURES_MSG(
-        obs::spill_critical_path({path}, cp, p.report, &error, &p.peak_bytes),
+        obs::spill_critical_path(cluster.spill_paths(), cp, p.report, &error, &p.peak_bytes),
         "spill critical-path pass failed");
     const auto t1 = std::chrono::steady_clock::now();
     p.extract_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -201,7 +196,7 @@ MillionPoint measure_million_node_extraction(NodeId n, std::size_t budget) {
                         "critical-path builder exceeded the 4 MiB resident budget");
 
     std::error_code ec;
-    std::filesystem::remove(path, ec);
+    std::filesystem::remove_all(dir, ec);
     return p;
 }
 

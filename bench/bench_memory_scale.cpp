@@ -9,7 +9,7 @@
 //
 //   bytes_per_node_n<k>   — total cluster footprint / n after a full E6
 //                           ring election at n (ledger from
-//                           Cluster::sample_memory; capacity-based, so
+//                           ParallelCluster::sample_memory; capacity-based, so
 //                           machine-independent). GATE: the 10^6-node
 //                           figure must stay within 1.5x of the 2^14 one.
 //   ns_per_hop_n<k>       — steady-state relay hop cost on an n-node
@@ -174,7 +174,7 @@ ScalePoint measure_ring_election(NodeId n) {
     const graph::Graph g = graph::make_cycle(n);
 
     const std::uint64_t allocs_before = g_alloc_count.load();
-    node::Cluster cluster(g, [](NodeId u) {
+    node::ParallelCluster cluster(g, [](NodeId u) {
         return std::make_unique<elect::ChangRobertsProtocol>(u);
     });
     const std::uint64_t build_allocs = g_alloc_count.load() - allocs_before;
@@ -189,7 +189,8 @@ ScalePoint measure_ring_election(NodeId n) {
                     kNoNode);
 
     cluster.sample_memory();
-    const cost::MemorySample* mem = cluster.metrics().memory();
+    const cost::Metrics metrics = cluster.merged_metrics();
+    const cost::MemorySample* mem = metrics.memory();
     FASTNET_ENSURES(mem != nullptr);
 
     ScalePoint p;
@@ -198,7 +199,7 @@ ScalePoint measure_ring_election(NodeId n) {
     p.build_allocs_per_node = static_cast<double>(build_allocs) / n;
     p.election_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    p.peak_node_bytes = cluster.metrics().peak_node_bytes();
+    p.peak_node_bytes = metrics.peak_node_bytes();
     return p;
 }
 
@@ -210,7 +211,7 @@ double measure_hop_ns(NodeId n) {
     cost::Metrics metrics(g.node_count());
     hw::Network net(sim, g, ModelParams::traditional(), metrics);
     std::uint64_t delivered = 0;
-    net.set_ncu_sink(n - 1, [&](const hw::Delivery&) { ++delivered; });
+    net.set_ncu_dispatch([&](NodeId, const hw::Delivery&) { ++delivered; });
 
     std::vector<NodeId> path(n);
     for (NodeId u = 0; u < n; ++u) path[u] = u;
@@ -244,23 +245,17 @@ struct SpillPoint {
 
 SpillPoint measure_spill_traced_election(NodeId n) {
     constexpr std::size_t kBudget = 4 << 20;  // 4 MiB resident for ~10^7 records
-    const std::string path = "BENCH_memory_scale.fnspill";
+    const std::string dir = "BENCH_memory_scale.spill";
 
-    auto trace = std::make_shared<sim::Trace>(std::size_t{1} << 16);
+    node::ParallelClusterConfig cfg;
+    cfg.trace_capacity = std::size_t{1} << 16;
     // Message-level kinds only: per-hop records of a 10^6-node ring lap
     // would be pure volume without changing what the gate proves.
-    trace->disable_all();
-    trace->set_enabled(sim::TraceKind::kSend, true);
-    trace->set_enabled(sim::TraceKind::kDeliver, true);
-    sim::TraceSpillConfig spill;
-    spill.path = path;
-    spill.resident_budget_bytes = kBudget;
-    std::string error;
-    FASTNET_ENSURES_MSG(trace->enable_spill(spill, &error), "spill enable failed");
-
-    node::ClusterConfig cfg;
-    cfg.trace = trace;
-    node::Cluster cluster(graph::make_cycle(n), [](NodeId u) {
+    cfg.trace_kinds =
+        sim::trace_kind_bit(sim::TraceKind::kSend) | sim::trace_kind_bit(sim::TraceKind::kDeliver);
+    cfg.trace_spill_dir = dir;
+    cfg.trace_budget_bytes = kBudget;
+    node::ParallelCluster cluster(graph::make_cycle(n), [](NodeId u) {
         return std::make_unique<elect::ChangRobertsProtocol>(u);
     }, cfg);
 
@@ -273,8 +268,9 @@ SpillPoint measure_spill_traced_election(NodeId n) {
 
     SpillPoint p;
     p.election_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    p.resident_bytes = trace->resident_bytes();
-    const cost::TraceStats& stats = cluster.metrics().trace_stats();
+    p.resident_bytes = cluster.trace_resident_bytes_peak();
+    const cost::Metrics metrics = cluster.merged_metrics();
+    const cost::TraceStats& stats = metrics.trace_stats();
     p.recorded = stats.total_recorded;
     p.spilled_bytes = stats.spilled_bytes;
 
@@ -285,14 +281,15 @@ SpillPoint measure_spill_traced_election(NodeId n) {
     FASTNET_ENSURES_MSG(stats.spilled_records == stats.total_recorded,
                         "spill file is missing records");
     sim::SpillMerge merge;
-    FASTNET_ENSURES_MSG(merge.open({path}, &error), "spill file unreadable");
+    std::string error;
+    FASTNET_ENSURES_MSG(merge.open(cluster.spill_paths(), &error), "spill file unreadable");
     std::uint64_t merged = 0;
     for (sim::TraceRecord r; merge.next(r);) ++merged;
     FASTNET_ENSURES_MSG(merged == stats.total_recorded,
                         "merged record count != recorded count");
 
     std::error_code ec;
-    std::filesystem::remove(path, ec);
+    std::filesystem::remove_all(dir, ec);
     return p;
 }
 

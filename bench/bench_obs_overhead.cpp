@@ -90,7 +90,7 @@ HopMeasurement measure_hops(std::shared_ptr<sim::Trace> trace, Tick sample_windo
     cfg.monitors = std::move(monitors);
     hw::Network net(sim, g, ModelParams::traditional(), metrics, cfg);
     std::uint64_t delivered = 0;
-    net.set_ncu_sink(kNodes - 1, [&](const hw::Delivery&) { ++delivered; });
+    net.set_ncu_dispatch([&](NodeId, const hw::Delivery&) { ++delivered; });
 
     std::vector<NodeId> path(kNodes);
     for (NodeId u = 0; u < kNodes; ++u) path[u] = u;
@@ -151,10 +151,10 @@ struct ProfilerMeasurement {
 /// differ by more machine noise (allocator layout, cache aliasing) than
 /// the few-ns hook, so only a same-cluster A/B isolates the delta.
 ProfilerMeasurement measure_profiler() {
-    node::Cluster c(graph::make_path(2),
-                    [](NodeId) { return std::make_unique<PingPong>(); });
+    node::ParallelCluster c(graph::make_path(2),
+                            [](NodeId) { return std::make_unique<PingPong>(); });
     auto volley = [&] {
-        c.start(0, c.simulator().now() + 1);
+        c.start(0, c.now() + 1);
         c.run();
     };
     volley();  // warm pools/caches
@@ -179,7 +179,8 @@ ProfilerMeasurement measure_profiler() {
     }
     m.ns_on = on;
     m.ns_off = off;
-    for (const auto& e : c.metrics().profiler().entries())
+    const cost::Metrics merged = c.merged_metrics();
+    for (const auto& e : merged.profiler().entries())
         m.profiled_invocations += e.invocations();
     return m;
 }

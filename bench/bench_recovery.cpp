@@ -61,11 +61,11 @@ Row run_point(const Point& p) {
     topt.period = 50;
     topt.full_knowledge = p.full_knowledge;
 
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     inj.configure(cfg);
-    node::Cluster c(g, topo::make_topology_maintenance(g.node_count(), topt), cfg);
+    node::ParallelCluster c(g, topo::make_topology_maintenance(g.node_count(), topt), cfg);
     c.start_all(0);
-    inj.compile(c.graph()).apply(c);
+    c.schedule(inj.compile(c.graph()));
 
     // Step past the heal and probe every kProbeStep ticks: the first
     // instant all views are exact again, relative to the heal.
@@ -79,7 +79,8 @@ Row run_point(const Point& p) {
     }
     c.run();
     row.oracle_ok = fault::check_theorem1(c).ok();
-    for (NodeId u = 0; u < c.node_count(); ++u) row.crashes += c.metrics().node(u).crashes;
+    const cost::Metrics m = c.merged_metrics();
+    for (NodeId u = 0; u < c.node_count(); ++u) row.crashes += m.node(u).crashes;
     return row;
 }
 
@@ -120,7 +121,7 @@ void experiment_r1(bench::JsonReporter& out) {
 }
 
 // Phase-budget audit: one heavy-churn recovery run with live phase
-// attribution (Cluster::mark_phase + sampled metrics). Phase 1 is the
+// attribution (ParallelCluster::mark_phase + sampled metrics). Phase 1 is the
 // clean broadcast prefix, phase 2 the fault window, phase 3 everything
 // after the heal. Each phase's system calls are held against an
 // executable bound — a broadcast round costs at most n*(n-1) receptions
@@ -146,33 +147,31 @@ void experiment_phase_audit(bench::JsonReporter& out) {
     topt.period = 50;
     topt.full_knowledge = true;
 
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     inj.configure(cfg);
     cfg.sample_window = 50;
 
-    node::Cluster c(g, topo::make_topology_maintenance(g.node_count(), topt), cfg);
+    node::ParallelCluster c(g, topo::make_topology_maintenance(g.node_count(), topt), cfg);
     c.mark_phase(0, 1);
     c.mark_phase(kFaultsFrom, 2);
     c.mark_phase(kHealAt, 3);
     c.start_all(0);
-    inj.compile(c.graph()).apply(c);
+    c.schedule(inj.compile(c.graph()));
     c.run();
     FASTNET_ENSURES_MSG(fault::check_theorem1(c).ok(),
                         "phase-audit run violated the convergence oracle");
 
+    const cost::Metrics m = c.merged_metrics();
     const double n = static_cast<double>(g.node_count());
     const double per_round = n * n;
     const auto rounds_in = [&](Tick span) {
         return static_cast<double>(span / topt.period + 2);
     };
     obs::BoundAudit audit("recovery_phases");
-    audit.phase_budget(c.metrics(), 1,
-                       static_cast<std::uint64_t>(per_round * rounds_in(kFaultsFrom)));
+    audit.phase_budget(m, 1, static_cast<std::uint64_t>(per_round * rounds_in(kFaultsFrom)));
     audit.phase_budget(
-        c.metrics(), 2,
-        static_cast<std::uint64_t>(per_round * rounds_in(kHealAt - kFaultsFrom)));
-    audit.phase_budget(c.metrics(), 3,
-                       static_cast<std::uint64_t>(per_round * topt.rounds));
+        m, 2, static_cast<std::uint64_t>(per_round * rounds_in(kHealAt - kFaultsFrom)));
+    audit.phase_budget(m, 3, static_cast<std::uint64_t>(per_round * topt.rounds));
     FASTNET_ENSURES_MSG(audit.pass(), "a recovery phase blew its system-call budget");
     if (!exec::write_text_file("AUDIT_recovery.json", obs::audit_json(audit))) {
         std::cerr << "cannot write AUDIT_recovery.json\n";
@@ -181,20 +180,21 @@ void experiment_phase_audit(bench::JsonReporter& out) {
                   << " phase budgets, pass=" << (audit.pass() ? "true" : "false")
                   << ")\n";
     }
-    for (const auto& [phase, calls] : c.metrics().sampling()->phase_calls())
+    for (const auto& [phase, calls] : m.sampling()->phase_calls())
         out.add("r1_phase" + std::to_string(phase) + "_calls",
                 static_cast<double>(calls), "calls");
 }
 
 void bm_crash_restart_cycle(benchmark::State& state) {
     const graph::Graph g = graph::make_cycle(8);
-    node::Cluster c(g, [](NodeId) { return std::make_unique<node::Protocol>(); });
+    node::ParallelCluster c(g, [](NodeId) { return std::make_unique<node::Protocol>(); });
     c.run();
     for (auto _ : state) {
-        c.crash_node(3);
-        c.restart_node(3);
+        const Tick t = c.now() + 1;
+        c.crash_node(t, 3);
+        c.restart_node(t, 3);
         c.run();
-        benchmark::DoNotOptimize(c.metrics().node(3).restarts);
+        benchmark::DoNotOptimize(c.crashed(3));
     }
 }
 BENCHMARK(bm_crash_restart_cycle);

@@ -118,7 +118,7 @@ void bench_hop_cost(bench::JsonReporter& out) {
     cost::Metrics metrics(g.node_count());
     hw::Network net(sim, g, ModelParams::traditional(), metrics);
     std::uint64_t delivered = 0;
-    net.set_ncu_sink(kNodes - 1, [&](const hw::Delivery&) { ++delivered; });
+    net.set_ncu_dispatch([&](NodeId, const hw::Delivery&) { ++delivered; });
 
     std::vector<NodeId> path(kNodes);
     for (NodeId u = 0; u < kNodes; ++u) path[u] = u;

@@ -29,13 +29,12 @@ int main() {
                                            static_cast<Tick>(150 + rng.below(300))});
     }
 
-    node::Cluster cluster(g, paris::make_call_agents(g, 2, scripts));
+    node::ParallelCluster cluster(g, paris::make_call_agents(g, 2, scripts));
     cluster.start_all(0);
     // An incident at t=400: one link dies (calls riding it drop).
-    cluster.simulator().at(400, [&cluster] {
-        cluster.network().fail_link(3);
-        std::cout << "[t=400] link 3 failed — calls riding it will disconnect\n";
-    });
+    cluster.fail_link(400, 3);
+    cluster.run_until(399);
+    std::cout << "[t=400] link 3 failed — calls riding it will disconnect\n";
     cluster.run();
 
     unsigned carried = 0, rejected = 0, failed = 0, still_up = 0;
@@ -57,10 +56,9 @@ int main() {
         auto run_mode = [n](bool copy) {
             const graph::Graph path = graph::make_path(n);
             std::map<NodeId, std::vector<CallRequest>> s{{0, {CallRequest{1, n - 1, 1, -1}}}};
-            node::Cluster c(path, paris::make_call_agents(path, 4, s, copy));
+            node::ParallelCluster c(path, paris::make_call_agents(path, 4, s, copy));
             c.start_all(0);
-            c.run();
-            return c.simulator().now();
+            return c.run();
         };
         cmp.add(n - 1, run_mode(true), run_mode(false));
     }

@@ -57,13 +57,13 @@ int main() {
     std::cout << "== 1. The node model: SS + NCU, ANR routing =============\n";
     // A 4-node path; model of Sections 3-4: hop delay C=0, NCU delay P=1.
     {
-        node::Cluster cluster(graph::make_path(4),
-                              [](NodeId) { return std::make_unique<GreeterProtocol>(); });
+        node::ParallelCluster cluster(graph::make_path(4),
+                                      [](NodeId) { return std::make_unique<GreeterProtocol>(); });
         cluster.start(0, 0);
         cluster.run();
-        std::cout << "total system calls: "
-                  << cluster.metrics().total_message_system_calls()
-                  << ", hardware hops: " << cluster.metrics().net().hops << "\n";
+        const cost::Metrics m = cluster.merged_metrics();
+        std::cout << "total system calls: " << m.total_message_system_calls()
+                  << ", hardware hops: " << m.net().hops << "\n";
     }
 
     std::cout << "\n== 2. Branching-paths broadcast (Section 3) =============\n";

@@ -17,11 +17,11 @@ using namespace fastnet;
 
 namespace {
 
-void report(node::Cluster& cluster, Tick at, const char* what) {
+void report(node::ParallelCluster& cluster, Tick at, const char* what) {
     std::size_t converged = 0;
     for (NodeId u = 0; u < cluster.node_count(); ++u) {
         const auto& p = cluster.protocol_as<topo::TopologyMaintenance>(u);
-        if (topo::view_converged(p, cluster.network(), u)) ++converged;
+        if (topo::view_converged(p, cluster.mirror(0), u)) ++converged;
     }
     std::cout << "[t=" << at << "] " << what << ": " << converged << "/"
               << cluster.node_count() << " nodes hold an exact view of their component\n";
@@ -39,7 +39,7 @@ int main() {
     opt.scheme = topo::BroadcastScheme::kBranchingPaths;
     opt.period = 100;
     opt.rounds = 30;
-    node::Cluster cluster(g, topo::make_topology_maintenance(g.node_count(), opt));
+    node::ParallelCluster cluster(g, topo::make_topology_maintenance(g.node_count(), opt));
     cluster.start_all(0);
 
     // Scripted incidents: three failures, then one repair.
@@ -47,26 +47,26 @@ int main() {
     std::vector<EdgeId> victims;
     for (int i = 0; i < 3; ++i)
         victims.push_back(static_cast<EdgeId>(chaos.below(g.edge_count())));
-    cluster.simulator().at(550, [&] {
-        for (EdgeId e : victims) cluster.network().fail_link(e);
-        std::cout << "[t=550] INCIDENT: " << victims.size() << " links failed\n";
-    });
-    cluster.simulator().at(1450, [&] {
-        cluster.network().restore_link(victims[0]);
-        std::cout << "[t=1450] REPAIR: link " << victims[0] << " restored\n";
-    });
+    for (EdgeId e : victims) cluster.fail_link(550, e);
+    cluster.restore_link(1450, victims[0]);
 
-    // Observation points between rounds.
-    for (Tick at : {400, 700, 1000, 1300, 1700, 2400}) {
-        cluster.simulator().at(at, [&cluster, at] { report(cluster, at, "checkpoint"); });
+    // Observation points between rounds; the incidents print as the
+    // clock passes them.
+    for (Tick at : {400, 550, 700, 1000, 1300, 1450, 1700, 2400}) {
+        cluster.run_until(at);
+        if (at == 550)
+            std::cout << "[t=550] INCIDENT: " << victims.size() << " links failed\n";
+        else if (at == 1450)
+            std::cout << "[t=1450] REPAIR: link " << victims[0] << " restored\n";
+        else
+            report(cluster, at, "checkpoint");
     }
-    cluster.run();
-    report(cluster, cluster.simulator().now(), "final");
+    report(cluster, cluster.run(), "final");
 
     // Cost epilogue.
     const auto n = static_cast<std::uint64_t>(g.node_count());
     const auto m = static_cast<std::uint64_t>(g.edge_count());
-    const std::uint64_t calls = cluster.metrics().total_message_system_calls();
+    const std::uint64_t calls = cluster.merged_metrics().total_message_system_calls();
     const std::uint64_t rounds_total = 30 * n;
     std::cout << "\ncost: " << calls << " message system calls over ~" << rounds_total
               << " broadcasts => " << (calls / rounds_total)

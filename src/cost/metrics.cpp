@@ -184,6 +184,13 @@ void Metrics::merge_from(const Metrics& o) {
     profiler_.merge_from(o.profiler_);
     trace_stats_.merge_from(o.trace_stats_);
     if (sampling_ != nullptr && o.sampling_ != nullptr) sampling_->merge_from(*o.sampling_);
+    if (o.memory_samples_ > 0) {
+        // The later observation stays the latest; counts add, peaks max.
+        if (memory_samples_ == 0 || o.memory_latest_.at >= memory_latest_.at)
+            memory_latest_ = o.memory_latest_;
+        memory_samples_ += o.memory_samples_;
+        peak_node_bytes_ = std::max(peak_node_bytes_, o.peak_node_bytes_);
+    }
 }
 
 void Metrics::record_memory(const MemorySample& s) {

@@ -244,9 +244,9 @@ void ElectionProtocol::become_leader(node::Context& ctx) {
 }
 
 ElectionOutcome run_election(const graph::Graph& g, ElectionOptions options,
-                             std::vector<NodeId> initiators, node::ClusterConfig config,
+                             std::vector<NodeId> initiators, node::ParallelClusterConfig config,
                              Tick stagger) {
-    node::Cluster cluster(g, [options](NodeId) {
+    node::ParallelCluster cluster(g, [options](NodeId) {
         return std::make_unique<ElectionProtocol>(options);
     }, config);
     if (initiators.empty())
@@ -256,7 +256,7 @@ ElectionOutcome run_election(const graph::Graph& g, ElectionOptions options,
         cluster.start(u, at);
         at += stagger;
     }
-    cluster.run();
+    const Tick done = cluster.run();
 
     ElectionOutcome out;
     std::uint64_t leaders = 0;
@@ -278,7 +278,7 @@ ElectionOutcome run_election(const graph::Graph& g, ElectionOptions options,
         out.max_naive_return_len = std::max(out.max_naive_return_len, p.max_naive_return_len());
     }
     out.unique_leader = leaders == 1;
-    out.cost = cost::snapshot(cluster.metrics(), cluster.simulator().now());
+    out.cost = cost::snapshot(cluster.merged_metrics(), done);
     const std::uint64_t announce_msgs =
         (options.announce && leaders >= 1) ? leader_domain - 1 : 0;
     out.election_messages = out.cost.direct_messages - announce_msgs;

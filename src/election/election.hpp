@@ -27,7 +27,7 @@
 #include "cost/metrics.hpp"
 #include "election/inout_tree.hpp"
 #include "graph/graph.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 
 namespace fastnet::elect {
 
@@ -186,6 +186,6 @@ constexpr std::uint64_t lemma6_capture_bound(std::uint64_t n, unsigned phase) {
 /// `stagger` > 0.
 ElectionOutcome run_election(const graph::Graph& g, ElectionOptions options = {},
                              std::vector<NodeId> initiators = {},
-                             node::ClusterConfig config = {}, Tick stagger = 0);
+                             node::ParallelClusterConfig config = {}, Tick stagger = 0);
 
 }  // namespace fastnet::elect

@@ -209,12 +209,12 @@ void HirschbergSinclairProtocol::on_message(node::Context& ctx, const hw::Delive
 namespace {
 
 template <typename Protocol>
-ElectionOutcome run_ring(NodeId n, node::ClusterConfig config,
+ElectionOutcome run_ring(NodeId n, node::ParallelClusterConfig config,
                          node::ProtocolFactory factory) {
     FASTNET_EXPECTS(n >= 3);
-    node::Cluster cluster(graph::make_cycle(n), std::move(factory), config);
+    node::ParallelCluster cluster(graph::make_cycle(n), std::move(factory), config);
     cluster.start_all(0);
-    cluster.run();
+    const Tick done = cluster.run();
     ElectionOutcome out;
     std::uint64_t leaders = 0;
     out.all_decided = true;
@@ -227,7 +227,7 @@ ElectionOutcome run_ring(NodeId n, node::ClusterConfig config,
         if (p.role() == Role::kUndecided) out.all_decided = false;
     }
     out.unique_leader = leaders == 1;
-    out.cost = cost::snapshot(cluster.metrics(), cluster.simulator().now());
+    out.cost = cost::snapshot(cluster.merged_metrics(), done);
     // The announcement lap is exactly n messages on the ring.
     out.election_messages = out.cost.direct_messages - n;
     return out;
@@ -235,7 +235,7 @@ ElectionOutcome run_ring(NodeId n, node::ClusterConfig config,
 
 }  // namespace
 
-ElectionOutcome run_chang_roberts(NodeId n, node::ClusterConfig config,
+ElectionOutcome run_chang_roberts(NodeId n, node::ParallelClusterConfig config,
                                   std::uint64_t priority_seed) {
     std::vector<std::uint64_t> priorities(n);
     for (NodeId u = 0; u < n; ++u) priorities[u] = u;
@@ -248,7 +248,7 @@ ElectionOutcome run_chang_roberts(NodeId n, node::ClusterConfig config,
     });
 }
 
-ElectionOutcome run_hirschberg_sinclair(NodeId n, node::ClusterConfig config,
+ElectionOutcome run_hirschberg_sinclair(NodeId n, node::ParallelClusterConfig config,
                                          std::uint64_t priority_seed) {
     std::vector<std::uint64_t> priorities(n);
     for (NodeId u = 0; u < n; ++u) priorities[u] = u;

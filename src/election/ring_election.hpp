@@ -19,7 +19,7 @@
 #include "cost/metrics.hpp"
 #include "election/election.hpp"
 #include "graph/graph.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 
 namespace fastnet::elect {
 
@@ -83,9 +83,9 @@ private:
 /// `priority_seed` for Chang-Roberts: 0 = priorities equal node ids
 /// (best case on this ring); otherwise a random permutation (average
 /// case, O(n log n) expected messages).
-ElectionOutcome run_chang_roberts(NodeId n, node::ClusterConfig config = {},
+ElectionOutcome run_chang_roberts(NodeId n, node::ParallelClusterConfig config = {},
                                   std::uint64_t priority_seed = 0);
-ElectionOutcome run_hirschberg_sinclair(NodeId n, node::ClusterConfig config = {},
+ElectionOutcome run_hirschberg_sinclair(NodeId n, node::ParallelClusterConfig config = {},
                                         std::uint64_t priority_seed = 0);
 
 }  // namespace fastnet::elect

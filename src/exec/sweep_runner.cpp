@@ -12,31 +12,26 @@ std::vector<CaseResult> SweepRunner::run() {
     return sweep_map(
         cases_,
         [](const ClusterCase& c, TaskContext& ctx) {
-            node::ClusterConfig cfg = c.config;
+            node::ParallelClusterConfig cfg = c.config;
             if (c.derive_seed) cfg.seed = ctx.rng.next();
-            if (c.trace_capacity > 0 && !cfg.trace)
-                cfg.trace = std::make_shared<sim::Trace>(c.trace_capacity);
-            if (c.monitor_setup && !cfg.monitors) {
-                cfg.monitors = std::make_shared<obs::MonitorHub>();
-                c.monitor_setup(*cfg.monitors);
-            }
-            node::Cluster cluster(c.graph, c.protocol, cfg);
-            c.scenario.apply(cluster);
+            node::ParallelCluster cluster(c.graph, c.protocol, cfg);
+            cluster.schedule(c.scenario);
             if (c.start_all) cluster.start_all(c.start_at);
             const Tick done = cluster.run();
+            const cost::Metrics m = cluster.merged_metrics();
 
             CaseResult r;
             r.name = c.name;
             r.index = ctx.index;
             r.completion = done;
-            r.system_calls = cluster.metrics().total_message_system_calls();
-            r.direct_messages = cluster.metrics().total_direct_messages();
-            r.hops = cluster.metrics().net().hops;
-            if (const auto& hub = cluster.monitors(); hub && hub->active()) {
-                r.set("monitor_violations", static_cast<double>(hub->violation_count()));
-                r.ok = r.ok && hub->ok();
+            r.system_calls = m.total_message_system_calls();
+            r.direct_messages = m.total_direct_messages();
+            r.hops = m.net().hops;
+            if (cluster.monitor_count() > 0) {
+                r.set("monitor_violations", static_cast<double>(cluster.violation_count()));
+                r.ok = r.ok && cluster.monitors_ok();
             }
-            if (c.probe) c.probe(cluster, r);
+            if (c.probe) c.probe(cluster, m, r);
             return r;
         },
         opt_);

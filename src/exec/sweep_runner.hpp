@@ -1,8 +1,8 @@
 // Deterministic multi-core sweep execution.
 //
 // The repo's experiments are grids of *independent* simulations:
-// (topology, ClusterConfig, Scenario, seed) points whose per-run cost PR 1
-// drove down 4-86x, leaving across-run throughput as the bottleneck. This
+// (topology, ParallelClusterConfig, Scenario, seed) points whose per-run
+// cost is small, leaving across-run throughput as the bottleneck. This
 // layer fans such grids out over exec::ThreadPool while keeping results
 // bit-identical to the serial order:
 //
@@ -11,8 +11,9 @@
 //   * each task's RNG stream is Rng::stream(master_seed, task_index) — a
 //     pure function of the task's position in the grid, so neither the
 //     worker that ran it nor the interleaving can change what it draws;
-//   * tasks share nothing mutable: every task builds its own Cluster
-//     (simulator, network, metrics, runtimes) from value-copied inputs.
+//   * tasks share nothing mutable: every task builds its own
+//     ParallelCluster (simulator, network, metrics, runtimes) from
+//     value-copied inputs.
 //
 // The contract is enforced by tests/test_exec.cpp (the same sweep at 1, 2
 // and hardware_concurrency threads must serialize to byte-identical JSON)
@@ -28,7 +29,7 @@
 
 #include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 #include "node/scenario.hpp"
 
 namespace fastnet::exec {
@@ -98,35 +99,29 @@ struct CaseResult {
 };
 
 /// One grid point: everything a worker needs to build, perturb and run a
-/// Cluster, all owned by value (tasks must share nothing mutable).
+/// ParallelCluster, all owned by value (tasks must share nothing
+/// mutable). Each case's cluster records into its *own* trace
+/// (config.trace_capacity) and feeds its *own* monitor hubs
+/// (config.monitor_setup), so exported traces and verdicts stay
+/// byte-identical at any thread count. Monitor violations fold into the
+/// result row: `monitor_violations` joins the values and a violating run
+/// clears `ok`.
 struct ClusterCase {
     std::string name;
     graph::Graph graph;
     node::ProtocolFactory protocol;
-    node::ClusterConfig config;
-    node::Scenario scenario;     ///< Applied before running (may be empty).
+    node::ParallelClusterConfig config;
+    node::Scenario scenario;     ///< Scheduled before running (may be empty).
     bool start_all = true;       ///< start_all(start_at) before running.
     Tick start_at = 0;
     /// When true (default) the cluster seed is drawn from the task's RNG
     /// stream — sweep results then depend only on (master_seed, index).
     /// Set false to pin config.seed for a specific case.
     bool derive_seed = true;
-    /// When > 0 and config.trace is null, the worker attaches a fresh
-    /// sim::Trace of this capacity to the case's cluster before running —
-    /// each case records into its *own* trace, so exported traces stay
-    /// byte-identical at any thread count. Read it back in the probe via
-    /// Cluster::trace().
-    std::size_t trace_capacity = 0;
-    /// When set and config.monitors is null, the worker builds a fresh
-    /// obs::MonitorHub per case, lets this callback register monitors on
-    /// it, and attaches it to the cluster. Violations then fold into the
-    /// result row: `monitor_violations` joins the values and a violating
-    /// run clears `ok`. Per-case hubs keep parallel sweeps deterministic
-    /// (monitor state is never shared across workers).
-    std::function<void(obs::MonitorHub&)> monitor_setup;
-    /// Runs on the worker after the cluster quiesces; extracts whatever
-    /// the experiment measures into the result row.
-    std::function<void(node::Cluster&, CaseResult&)> probe;
+    /// Runs on the worker after the cluster quiesces, with its merged
+    /// metrics; extracts whatever the experiment measures into the
+    /// result row.
+    std::function<void(node::ParallelCluster&, const cost::Metrics&, CaseResult&)> probe;
 };
 
 /// Fans ClusterCases out across workers; results in submission order.

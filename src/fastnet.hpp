@@ -52,7 +52,6 @@
 #include "hw/network.hpp"
 #include "hw/packet.hpp"
 #include "hw/switch.hpp"
-#include "node/cluster.hpp"
 #include "node/parallel_cluster.hpp"
 #include "node/protocol.hpp"
 #include "obs/audit.hpp"

@@ -3,7 +3,6 @@
 #include <map>
 #include <string>
 
-#include "node/parallel_cluster.hpp"
 #include "paris/call_setup.hpp"
 
 namespace fastnet::fault {
@@ -19,22 +18,10 @@ std::string call_str(paris::CallId id) {
 
 }  // namespace
 
-NodeId CallOracle::node_count() const {
-    return seq_ ? seq_->node_count() : par_->node_count();
-}
-
-bool CallOracle::crashed(NodeId u) const {
-    return seq_ ? seq_->crashed(u) : par_->crashed(u);
-}
-
-const node::Protocol& CallOracle::protocol(NodeId u) const {
-    return seq_ ? seq_->protocol(u) : par_->protocol(u);
-}
-
 CallOracle& CallOracle::require_conserved() {
-    for (NodeId u = 0; u < node_count(); ++u) {
-        if (crashed(u)) continue;
-        const auto* agent = agent_of(protocol(u));
+    for (NodeId u = 0; u < cluster_.node_count(); ++u) {
+        if (cluster_.crashed(u)) continue;
+        const auto* agent = agent_of(cluster_.protocol(u));
         if (agent == nullptr) continue;
         // Recompute the ledger from the records and compare exactly.
         std::map<EdgeId, std::uint64_t> expected;
@@ -72,9 +59,9 @@ CallOracle& CallOracle::require_conserved() {
 }
 
 CallOracle& CallOracle::require_terminal() {
-    for (NodeId u = 0; u < node_count(); ++u) {
-        if (crashed(u)) continue;
-        const auto* agent = agent_of(protocol(u));
+    for (NodeId u = 0; u < cluster_.node_count(); ++u) {
+        if (cluster_.crashed(u)) continue;
+        const auto* agent = agent_of(cluster_.protocol(u));
         if (agent == nullptr) continue;
         if (agent->live_records() != 0) {
             for (const paris::CallRecord& r : agent->call_records()) {
@@ -99,9 +86,9 @@ CallOracle& CallOracle::require_terminal() {
 }
 
 CallOracle& CallOracle::require_released() {
-    for (NodeId u = 0; u < node_count(); ++u) {
-        if (crashed(u)) continue;
-        const auto* agent = agent_of(protocol(u));
+    for (NodeId u = 0; u < cluster_.node_count(); ++u) {
+        if (cluster_.crashed(u)) continue;
+        const auto* agent = agent_of(cluster_.protocol(u));
         if (agent == nullptr) continue;
         for (const auto& [edge, held] : agent->reserved_entries()) {
             fail("node " + std::to_string(u) + ": edge " + std::to_string(edge) +
@@ -109,11 +96,6 @@ CallOracle& CallOracle::require_released() {
         }
     }
     return *this;
-}
-
-OracleReport check_calls(const node::Cluster& cluster) {
-    CallOracle o(cluster);
-    return o.require_conserved().require_terminal().require_released().report();
 }
 
 OracleReport check_calls(const node::ParallelCluster& cluster) {

@@ -24,20 +24,14 @@
 #pragma once
 
 #include "fault/oracle.hpp"
-#include "node/cluster.hpp"
-
-namespace fastnet::node {
-class ParallelCluster;
-}
 
 namespace fastnet::fault {
 
 class CallOracle {
 public:
-    explicit CallOracle(const node::Cluster& cluster) : seq_(&cluster) {}
-    /// Parallel-kernel overload: each node's agent lives in its owning
-    /// shard; reading all of them visits every shard's ledger.
-    explicit CallOracle(const node::ParallelCluster& cluster) : par_(&cluster) {}
+    /// Each node's agent lives in its owning shard; reading all of them
+    /// visits every shard's ledger.
+    explicit CallOracle(const node::ParallelCluster& cluster) : cluster_(cluster) {}
 
     /// Per-edge ledger == sum of record demands holding that edge, and
     /// ledger <= link capacity, at every live call agent.
@@ -56,17 +50,11 @@ public:
 private:
     void fail(std::string msg) { report_.violations.push_back(std::move(msg)); }
 
-    NodeId node_count() const;
-    bool crashed(NodeId u) const;
-    const node::Protocol& protocol(NodeId u) const;
-
-    const node::Cluster* seq_ = nullptr;
-    const node::ParallelCluster* par_ = nullptr;
+    const node::ParallelCluster& cluster_;
     OracleReport report_;
 };
 
 /// The standard bundle: conserved + terminal + released.
-OracleReport check_calls(const node::Cluster& cluster);
 OracleReport check_calls(const node::ParallelCluster& cluster);
 
 }  // namespace fastnet::fault

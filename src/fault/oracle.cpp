@@ -3,7 +3,6 @@
 #include <string>
 
 #include "election/election.hpp"
-#include "node/parallel_cluster.hpp"
 #include "topo/router.hpp"
 #include "topo/topology_maintenance.hpp"
 
@@ -29,49 +28,27 @@ std::string OracleReport::summary() const {
     return out;
 }
 
-bool Oracle::quiescent() const { return seq_ != nullptr ? seq_->quiescent() : par_->quiescent(); }
-
-std::size_t Oracle::packets_in_flight() const {
-    return seq_ != nullptr ? seq_->network().packets_in_flight() : par_->packets_in_flight();
-}
-
-hw::Network& Oracle::network() const {
-    return seq_ != nullptr ? seq_->network() : par_->mirror(0);
-}
-
-NodeId Oracle::node_count() const {
-    return seq_ != nullptr ? seq_->node_count() : par_->node_count();
-}
-
-bool Oracle::crashed(NodeId u) const {
-    return seq_ != nullptr ? seq_->crashed(u) : par_->crashed(u);
-}
-
-const node::Protocol& Oracle::protocol(NodeId u) const {
-    return seq_ != nullptr ? seq_->protocol(u) : par_->protocol(u);
-}
-
 Oracle& Oracle::require_quiescent() {
-    if (!quiescent()) fail("cluster not quiescent");
+    if (!cluster_.quiescent()) fail("cluster not quiescent");
     return *this;
 }
 
 Oracle& Oracle::require_no_inflight() {
-    const std::size_t live = packets_in_flight();
+    const std::size_t live = cluster_.packets_in_flight();
     if (live != 0)
         fail(std::to_string(live) + " packet cursor(s) still allocated after quiescence");
     return *this;
 }
 
 Oracle& Oracle::require_views_converged() {
-    for (NodeId u = 0; u < node_count(); ++u) {
-        if (crashed(u)) continue;  // a down node has no view to check
-        const topo::TopologyMaintenance* tm = maintenance_of(protocol(u));
+    for (NodeId u = 0; u < cluster_.node_count(); ++u) {
+        if (cluster_.crashed(u)) continue;  // a down node has no view to check
+        const topo::TopologyMaintenance* tm = maintenance_of(cluster_.protocol(u));
         if (tm == nullptr) {
             fail("node " + std::to_string(u) + " runs no topology maintenance");
             continue;
         }
-        if (!topo::view_converged(*tm, network(), u))
+        if (!topo::view_converged(*tm, cluster_.mirror(0), u))
             fail("node " + std::to_string(u) + "'s view is not exact (Theorem 1)");
     }
     return *this;
@@ -79,9 +56,9 @@ Oracle& Oracle::require_views_converged() {
 
 Oracle& Oracle::require_at_most_one_leader() {
     unsigned leaders = 0;
-    for (NodeId u = 0; u < node_count(); ++u) {
-        if (crashed(u)) continue;
-        const auto* e = dynamic_cast<const elect::ElectionProtocol*>(&protocol(u));
+    for (NodeId u = 0; u < cluster_.node_count(); ++u) {
+        if (cluster_.crashed(u)) continue;
+        const auto* e = dynamic_cast<const elect::ElectionProtocol*>(&cluster_.protocol(u));
         if (e == nullptr) {
             fail("node " + std::to_string(u) + " runs no election protocol");
             continue;
@@ -93,7 +70,7 @@ Oracle& Oracle::require_at_most_one_leader() {
 }
 
 Oracle& Oracle::require_received(NodeId at, NodeId src, std::uint64_t tag) {
-    const auto* r = dynamic_cast<const topo::RouterProtocol*>(&protocol(at));
+    const auto* r = dynamic_cast<const topo::RouterProtocol*>(&cluster_.protocol(at));
     if (r == nullptr) {
         fail("node " + std::to_string(at) + " runs no router");
         return *this;
@@ -103,12 +80,6 @@ Oracle& Oracle::require_received(NodeId at, NodeId src, std::uint64_t tag) {
     fail("node " + std::to_string(at) + " never received tag " + std::to_string(tag) +
          " from " + std::to_string(src));
     return *this;
-}
-
-OracleReport check_theorem1(node::Cluster& cluster) {
-    Oracle o(cluster);
-    o.require_quiescent().require_no_inflight().require_views_converged();
-    return o.report();
 }
 
 OracleReport check_theorem1(node::ParallelCluster& cluster) {

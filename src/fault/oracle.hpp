@@ -3,7 +3,7 @@
 // Theorem 1 promises eventual consistency — after the last topological
 // change, every node's view of its connected component becomes exact.
 // The oracle turns that (and its companions for the router and the
-// election) into assertions checkable on a quiesced Cluster:
+// election) into assertions checkable on a quiesced ParallelCluster:
 //
 //   * quiescence      — the simulation truly ran out of work;
 //   * no in-flight    — every pooled packet cursor was released: nothing
@@ -22,11 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "node/cluster.hpp"
-
-namespace fastnet::node {
-class ParallelCluster;
-}
+#include "node/parallel_cluster.hpp"
 
 namespace fastnet::fault {
 
@@ -39,12 +35,11 @@ struct OracleReport {
 
 class Oracle {
 public:
-    explicit Oracle(node::Cluster& cluster) : seq_(&cluster) {}
-    /// Parallel-kernel overload: quiescence spans every shard, in-flight
-    /// cursors are summed over the mirrors, and topology ground truth is
-    /// read from mirror 0 (every mirror replays the same control
-    /// timeline, so their link states are identical).
-    explicit Oracle(node::ParallelCluster& cluster) : par_(&cluster) {}
+    /// Quiescence spans every shard, in-flight cursors are summed over
+    /// the mirrors, and topology ground truth is read from mirror 0
+    /// (every mirror replays the same control timeline, so their link
+    /// states are identical).
+    explicit Oracle(node::ParallelCluster& cluster) : cluster_(cluster) {}
 
     /// The cluster must have no pending events or queued NCU work.
     Oracle& require_quiescent();
@@ -70,22 +65,12 @@ public:
 private:
     void fail(std::string msg) { report_.violations.push_back(std::move(msg)); }
 
-    // One mode only; the accessors below fan out to whichever is set.
-    bool quiescent() const;
-    std::size_t packets_in_flight() const;
-    hw::Network& network() const;
-    NodeId node_count() const;
-    bool crashed(NodeId u) const;
-    const node::Protocol& protocol(NodeId u) const;
-
-    node::Cluster* seq_ = nullptr;
-    node::ParallelCluster* par_ = nullptr;
+    node::ParallelCluster& cluster_;
     OracleReport report_;
 };
 
 /// The standard Theorem-1 bundle: quiescent, no in-flight packets, every
 /// live view exact.
-OracleReport check_theorem1(node::Cluster& cluster);
 OracleReport check_theorem1(node::ParallelCluster& cluster);
 
 }  // namespace fastnet::fault

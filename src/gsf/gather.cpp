@@ -131,13 +131,13 @@ GatherOutcome run_tree_gather(const graph::RootedTree& tree, ModelParams params,
     out.expected = inputs[0];
     for (NodeId u = 1; u < n; ++u) out.expected = spec->combine(out.expected, inputs[u]);
 
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params = params;
-    node::Cluster cluster(graph::make_complete(n), [&spec](NodeId) {
+    node::ParallelCluster cluster(graph::make_complete(n), [&spec](NodeId) {
         return std::make_unique<TreeGatherProtocol>(spec);
     }, cfg);
     cluster.start_all(0);
-    cluster.run();
+    const Tick done = cluster.run();
 
     const auto& root = cluster.protocol_as<TreeGatherProtocol>(tree.root());
     FASTNET_ENSURES_MSG(root.done(), "gather did not complete");
@@ -154,7 +154,7 @@ GatherOutcome run_tree_gather(const graph::RootedTree& tree, ModelParams params,
                     std::max(out.dissemination_completion, p.final_known_time());
         }
     }
-    out.cost = cost::snapshot(cluster.metrics(), cluster.simulator().now());
+    out.cost = cost::snapshot(cluster.merged_metrics(), done);
     return out;
 }
 

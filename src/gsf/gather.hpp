@@ -19,7 +19,7 @@
 
 #include "cost/metrics.hpp"
 #include "graph/rooted_tree.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 
 namespace fastnet::gsf {
 

@@ -6,8 +6,32 @@
 
 namespace fastnet::hw {
 
+NodeStreams::NodeStreams(NodeId node_count, const ModelParams& params,
+                         const NetworkConfig& config)
+    : counter_bits_(40 - ceil_log2(static_cast<std::uint64_t>(node_count) + 2)),
+      pri_(node_count, 0),
+      send_seq_(node_count, 0) {
+    // stream() is a pure function of (seed, index): a node's draws are
+    // identical whatever shard it lands on.
+    if (config.hop_delay_min >= 0 && params.hop_delay > config.hop_delay_min) {
+        delay_rng_.reserve(node_count);
+        for (NodeId u = 0; u < node_count; ++u)
+            delay_rng_.push_back(Rng::stream(config.seed, 2ull * u));
+    }
+    if (config.loss_ppm > 0 || config.dup_ppm > 0) {
+        fault_rng_.reserve(node_count);
+        for (NodeId u = 0; u < node_count; ++u)
+            fault_rng_.push_back(Rng::stream(config.seed, 2ull * u + 1));
+    }
+}
+
+std::size_t NodeStreams::memory_bytes() const {
+    return pri_.capacity() * sizeof(std::uint64_t) + send_seq_.capacity() * sizeof(std::uint64_t) +
+           (delay_rng_.capacity() + fault_rng_.capacity()) * sizeof(Rng);
+}
+
 Network::Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
-                 cost::Metrics& metrics, NetworkConfig config)
+                 cost::Metrics& metrics, NetworkConfig config, ShardBinding shard)
     : sim_(sim),
       graph_(g),
       params_(params),
@@ -15,13 +39,23 @@ Network::Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
       config_(config),
       trace_(config_.trace.get()),
       monitors_(config_.monitors.get()),
-      rng_(config.seed),
-      fault_rng_(Rng::stream(config.seed, 0xfa017ULL)),
+      shard_(shard.shard),
+      node_shard_(shard.node_shard),
+      streams_(shard.streams),
+      emit_remote_(std::move(shard.emit_remote)),
       node_down_(g.node_count(), 0),
       downed_head_(g.node_count(), kNoDowned),
       edge_ports_(g.edge_count(), {kNoPort, kNoPort}),
       links_(g.edge_count()) {
     FASTNET_EXPECTS(metrics.node_count() == g.node_count());
+    FASTNET_EXPECTS_MSG((node_shard_ == nullptr) == (streams_ == nullptr),
+                        "a shard binding needs both the shard map and the streams");
+    if (streams_ == nullptr) {
+        own_streams_ = std::make_unique<NodeStreams>(g.node_count(), params_, config_);
+        own_shard_of_.assign(g.node_count(), shard_);
+        streams_ = own_streams_.get();
+        node_shard_ = own_shard_of_.data();
+    }
     std::size_t max_degree = 0;
     for (NodeId u = 0; u < g.node_count(); ++u) {
         PortId p = 0;
@@ -33,12 +67,6 @@ Network::Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
     }
     // k bits per label: port ids 0..max_degree plus the copy flag.
     label_bits_ = ceil_log2(max_degree + 1) + 1;
-}
-
-void Network::set_ncu_sink(NodeId node, NcuSink sink) {
-    FASTNET_EXPECTS(node < graph_.node_count());
-    if (ncu_sinks_.empty()) ncu_sinks_.resize(graph_.node_count());
-    ncu_sinks_[node] = std::move(sink);
 }
 
 void Network::set_ncu_dispatch(NcuDispatch dispatch) { ncu_dispatch_ = std::move(dispatch); }
@@ -137,7 +165,7 @@ std::uint64_t Network::send(NodeId from, AnrHeader header,
     pkt->reverse_len = 0;
     pkt->payload = std::move(payload);
     pkt->origin = from;
-    pkt->id = par_ == nullptr ? next_packet_id_++ : par_next_id(from);
+    pkt->id = streams_->next_packet_id(from);
     pkt->lineage = pkt->id;
     pkt->sent_at = sim_.now();
     pkt->hops = 0;
@@ -205,15 +233,11 @@ void Network::transmit(NodeId from, EdgeId e, Packet* pkt) {
         release_packet(pkt);
         return;
     }
-    // Parallel mode draws jitter and faults from the transmitting node's
-    // private streams: the draw sequence then depends only on that node's
-    // (shard-invariant) execution order, never on global call order.
-    Rng& delay_rng = par_ == nullptr ? rng_ : par_->node_rng[from];
-    Rng& fault_rng = par_ == nullptr ? fault_rng_ : par_->node_fault_rng[from];
     // Injected loss: the frame is corrupted beyond the data-link CRC and
-    // never arrives. Drawn before the delay draw from a dedicated stream,
-    // so fault-free configurations keep byte-identical schedules.
-    if (config_.loss_ppm > 0 && fault_rng.below(1'000'000) < config_.loss_ppm) {
+    // never arrives. Drawn from the transmitting node's own fault stream,
+    // separate from its delay stream, so fault-free configurations keep
+    // byte-identical schedules.
+    if (config_.loss_ppm > 0 && streams_->fault_rng(from).below(1'000'000) < config_.loss_ppm) {
         metrics_.net().drops_injected += 1;
         note_drop(from, e, *pkt, sim::DropReason::kInjectedLoss);
         release_packet(pkt);
@@ -225,7 +249,7 @@ void Network::transmit(NodeId from, EdgeId e, Packet* pkt) {
 
     Tick delay = params_.hop_delay;
     if (config_.hop_delay_min >= 0 && params_.hop_delay > config_.hop_delay_min)
-        delay = delay_rng.range(config_.hop_delay_min, params_.hop_delay);
+        delay = streams_->delay_rng(from).range(config_.hop_delay_min, params_.hop_delay);
     Tick arrival = link.fifo_arrival(direction, sim_.now() + delay);
     if (config_.link_spacing > 0)
         arrival = link.spaced_arrival(direction, arrival, config_.link_spacing);
@@ -242,30 +266,25 @@ void Network::transmit(NodeId from, EdgeId e, Packet* pkt) {
                                          static_cast<double>(arrival - sim_.now()));
     }
 
-    // 32-byte capture — fits sim::InlineFn's inline storage, so the
-    // steady-state hop schedules without touching the allocator. In
-    // parallel mode a boundary-crossing arrival goes to the coordinator's
-    // outbox instead; the local cursor is released after the dup block
-    // below is done reading it.
-    bool retire_pkt = false;
-    if (par_ == nullptr)
-        sim_.at(arrival, [this, to, e, epoch, pkt] { arrive(to, e, epoch, pkt); });
-    else
-        retire_pkt = par_dispatch_arrival(from, arrival, to, e, epoch, pkt);
+    // A boundary-crossing arrival goes to the coordinator's outbox; the
+    // local cursor is then released after the dup block below is done
+    // reading it.
+    const bool retire_pkt =
+        schedule_arrival(arrival, streams_->draw(from), to, e, epoch, pkt);
 
     // Injected duplication: a spurious link-layer retransmit. The copy is
     // a second cursor over the same route blob (both copies traverse the
     // identical remaining path, so their write-once reverse tracks write
     // identical values) and joins the same FIFO behind the original,
     // stamped with the same epoch — a flap kills both.
-    if (config_.dup_ppm > 0 && fault_rng.below(1'000'000) < config_.dup_ppm) {
+    if (config_.dup_ppm > 0 && streams_->fault_rng(from).below(1'000'000) < config_.dup_ppm) {
         Packet* dup = alloc_packet();
         dup->route = pkt->route;
         dup->offset = pkt->offset;
         dup->reverse_len = pkt->reverse_len;
         dup->payload = pkt->payload;
         dup->origin = pkt->origin;
-        dup->id = par_ == nullptr ? next_packet_id_++ : par_next_id(from);
+        dup->id = streams_->next_packet_id(from);
         dup->lineage = pkt->lineage;  // the duplicate stays causally traceable
         dup->sent_at = pkt->sent_at;
         dup->hop_sent_at = sim_.now();
@@ -289,9 +308,7 @@ void Network::transmit(NodeId from, EdgeId e, Packet* pkt) {
         Tick dup_arrival = link.fifo_arrival(direction, arrival + params_.hop_delay);
         if (config_.link_spacing > 0)
             dup_arrival = link.spaced_arrival(direction, dup_arrival, config_.link_spacing);
-        if (par_ == nullptr)
-            sim_.at(dup_arrival, [this, to, e, epoch, dup] { arrive(to, e, epoch, dup); });
-        else if (par_dispatch_arrival(from, dup_arrival, to, e, epoch, dup))
+        if (schedule_arrival(dup_arrival, streams_->draw(from), to, e, epoch, dup))
             release_packet(dup);
     }
     if (retire_pkt) release_packet(pkt);
@@ -338,10 +355,7 @@ void Network::arrive(NodeId at, EdgeId e, std::uint64_t epoch, Packet* pkt) {
 
 void Network::deliver_to_ncu(NodeId node, const Packet& pkt) {
     metrics_.net().ncu_deliveries += 1;
-    const NcuSink* sink =
-        node < ncu_sinks_.size() && ncu_sinks_[node] ? &ncu_sinks_[node] : nullptr;
-    FASTNET_EXPECTS_MSG(sink != nullptr || ncu_dispatch_ != nullptr,
-                        "no NCU sink registered");
+    FASTNET_EXPECTS_MSG(ncu_dispatch_ != nullptr, "no NCU dispatch registered");
     Delivery d;
     d.at = node;
     // Materialize the cursor into plain vectors — the one place the
@@ -372,10 +386,7 @@ void Network::deliver_to_ncu(NodeId node, const Packet& pkt) {
         ev.b = static_cast<std::uint64_t>(pkt.sent_at);
         monitors_->dispatch(ev);
     }
-    if (sink != nullptr)
-        (*sink)(d);
-    else
-        ncu_dispatch_(node, d);
+    ncu_dispatch_(node, d);
 }
 
 void Network::set_link_active(EdgeId e, bool active) {
@@ -384,33 +395,26 @@ void Network::set_link_active(EdgeId e, bool active) {
     const std::uint64_t epoch = links_[e].epoch();
     const graph::Edge& edge = graph_.edge(e);
     for (NodeId endpoint : {edge.a, edge.b}) {
-        if (par_ != nullptr) {
-            // Every mirror replays this draw (keeping ctl_pri_ in
-            // lockstep) but only the endpoint's own shard schedules the
-            // notification — the priority is therefore the same whichever
-            // shard the endpoint landed on.
-            const std::uint64_t pri = par_ctl_draw();
-            if (!par_local(endpoint)) continue;
-            sim_.at_keyed(sim_.now() + config_.detection_delay, pri,
-                          [this, endpoint, e, epoch, active]() {
-                              if (links_[e].epoch() != epoch) return;
-                              if (link_sink_) link_sink_(endpoint, e, active);
-                          });
-            continue;
-        }
-        sim_.after(config_.detection_delay, [this, endpoint, e, epoch, active]() {
-            // Suppress stale notifications if the link flapped again before
-            // detection completed (the NCU only learns states that persist).
-            if (links_[e].epoch() != epoch) return;
-            if (link_sink_) link_sink_(endpoint, e, active);
-        });
+        // Every mirror replays this draw (keeping ctl_pri_ in lockstep)
+        // but only the endpoint's own shard schedules the notification —
+        // the priority is therefore the same whichever shard the endpoint
+        // landed on.
+        const std::uint64_t pri = streams_->control(ctl_pri_++);
+        if (!local(endpoint)) continue;
+        sim_.at_keyed(sim_.now() + config_.detection_delay, pri,
+                      [this, endpoint, e, epoch, active]() {
+                          // Suppress stale notifications if the link flapped
+                          // again before detection completed (the NCU only
+                          // learns states that persist).
+                          if (links_[e].epoch() != epoch) return;
+                          if (link_sink_) link_sink_(endpoint, e, active);
+                      });
     }
 }
 
 sim::EventId Network::schedule_at(NodeId ctx, Tick when, sim::InlineFn fn) {
-    if (par_ == nullptr) return sim_.at(when, std::move(fn));
-    FASTNET_EXPECTS_MSG(par_local(ctx), "scheduling context not on this shard");
-    return sim_.at_keyed(when, par_draw(ctx), std::move(fn));
+    FASTNET_EXPECTS_MSG(local(ctx), "scheduling context not on this shard");
+    return sim_.at_keyed(when, streams_->draw(ctx), std::move(fn));
 }
 
 sim::EventId Network::schedule_after(NodeId ctx, Tick delay, sim::InlineFn fn) {
@@ -418,63 +422,29 @@ sim::EventId Network::schedule_after(NodeId ctx, Tick delay, sim::InlineFn fn) {
     return schedule_at(ctx, sim_.now() + delay, std::move(fn));
 }
 
-void Network::bind_parallel(ParallelHooks hooks) {
-    FASTNET_EXPECTS_MSG(next_packet_id_ == 1 && sim_.idle(),
-                        "bind_parallel must precede any traffic");
-    FASTNET_EXPECTS(hooks.node_shard != nullptr && hooks.node_rng != nullptr &&
-                    hooks.node_fault_rng != nullptr && hooks.node_send_seq != nullptr &&
-                    hooks.node_pri != nullptr && hooks.emit_remote != nullptr);
-    par_ = std::make_unique<ParallelHooks>(std::move(hooks));
-}
-
-std::uint64_t Network::par_draw(NodeId ctx) {
-    std::uint64_t& c = par_->node_pri[ctx];
-    FASTNET_EXPECTS_MSG(c < (1ULL << par_->pri_counter_bits),
-                        "per-node priority counter exhausted");
-    return ((static_cast<std::uint64_t>(ctx) + 1) << par_->pri_counter_bits) | c++;
-}
-
-std::uint64_t Network::par_ctl_draw() {
-    FASTNET_EXPECTS_MSG(ctl_pri_ < (1ULL << par_->pri_counter_bits),
-                        "control priority counter exhausted");
-    return ctl_pri_++;
-}
-
-std::uint64_t Network::par_next_id(NodeId origin) {
-    std::uint64_t& seq = par_->node_send_seq[origin];
-    FASTNET_EXPECTS_MSG(seq < 0xffff'ffffULL, "per-origin packet id space exhausted");
-    return ((static_cast<std::uint64_t>(origin) + 1) << 32) | ++seq;
-}
-
-bool Network::par_dispatch_arrival(NodeId from, Tick arrival, NodeId to, EdgeId e,
-                                   std::uint64_t epoch, Packet* pkt) {
-    const std::uint64_t pri = par_draw(from);
-    if (par_local(to)) {
-        sim_.at_keyed(arrival, pri, [this, to, e, epoch, pkt] { arrive(to, e, epoch, pkt); });
-        return false;
-    }
+void Network::hand_off(Tick arrival, std::uint64_t pri, NodeId to, EdgeId e,
+                       std::uint64_t epoch, const Packet& pkt) {
     RemoteArrival r;
     r.at = arrival;
     r.pri = pri;
     r.to = to;
     r.edge = e;
     r.epoch = epoch;
-    r.route = pkt->route.clone();
-    r.offset = pkt->offset;
-    r.reverse_len = pkt->reverse_len;
-    r.payload = pkt->payload;
-    r.origin = pkt->origin;
-    r.id = pkt->id;
-    r.lineage = pkt->lineage;
-    r.sent_at = pkt->sent_at;
-    r.hop_sent_at = pkt->hop_sent_at;
-    r.hops = pkt->hops;
-    par_->emit_remote(std::move(r));
-    return true;
+    r.route = pkt.route.clone();
+    r.offset = pkt.offset;
+    r.reverse_len = pkt.reverse_len;
+    r.payload = pkt.payload;
+    r.origin = pkt.origin;
+    r.id = pkt.id;
+    r.lineage = pkt.lineage;
+    r.sent_at = pkt.sent_at;
+    r.hop_sent_at = pkt.hop_sent_at;
+    r.hops = pkt.hops;
+    emit_remote_(std::move(r));
 }
 
 void Network::inject_remote(const RemoteArrival& r) {
-    FASTNET_EXPECTS(par_ != nullptr && par_local(r.to));
+    FASTNET_EXPECTS(local(r.to));
     Packet* pkt = alloc_packet();
     pkt->route = r.route;
     pkt->offset = r.offset;
@@ -571,7 +541,8 @@ std::size_t Network::memory_bytes() const {
            downed_free_.capacity() * sizeof(std::uint32_t) +
            edge_ports_.capacity() * sizeof(std::array<PortId, 2>) +
            links_.capacity() * sizeof(LinkState) +
-           ncu_sinks_.capacity() * sizeof(NcuSink) +
+           own_shard_of_.capacity() * sizeof(std::uint32_t) +
+           (own_streams_ != nullptr ? own_streams_->memory_bytes() : 0) +
            packet_slabs_.capacity() * sizeof(std::unique_ptr<Packet[]>) +
            packet_slabs_.size() * kPacketSlabSize * sizeof(Packet) +
            packet_free_.capacity() * sizeof(Packet*);

@@ -42,7 +42,7 @@ struct NetworkConfig {
     /// unit; setting this to P makes that constraint physical
     /// (ablation A6).
     Tick link_spacing = 0;
-    /// Seed for delay jitter.
+    /// Seed of the per-node delay and fault streams (NodeStreams).
     std::uint64_t seed = 1;
     /// Optional observational trace (send / drop records).
     std::shared_ptr<sim::Trace> trace;
@@ -65,13 +65,13 @@ struct NetworkConfig {
     std::uint32_t dup_ppm = 0;
 };
 
-/// One packet crossing a shard boundary in the parallel kernel: the
-/// cursor's state plus the arrival it was already scheduled for. The
-/// sender's shard appends these to its outbox during a window; the
-/// coordinator injects them into the target shard's mirror at the next
-/// window barrier (node/parallel_cluster.hpp). The payload is immutable
-/// and shared; the route blob is deep-copied (Route::clone) because its
-/// reverse track is still written on both sides of the boundary.
+/// One packet crossing a shard boundary: the cursor's state plus the
+/// arrival it was already scheduled for. The sender's shard appends these
+/// to its outbox during a window; the coordinator injects them into the
+/// target shard's mirror at the next window barrier
+/// (node/parallel_cluster.hpp). The payload is immutable and shared; the
+/// route blob is deep-copied (Route::clone) because its reverse track is
+/// still written on both sides of the boundary.
 struct RemoteArrival {
     Tick at = 0;               ///< Arrival time (>= the next window's start).
     std::uint64_t pri = 0;     ///< Keyed tie-break drawn at the sender.
@@ -90,52 +90,86 @@ struct RemoteArrival {
     unsigned hops = 0;
 };
 
-/// Wiring that puts a Network into parallel (sharded-mirror) mode.
-///
-/// In this mode the network is one shard's *mirror*: it simulates only
-/// the nodes whose shard matches `shard`, but holds full per-edge link
-/// state so epoch/activity checks work without cross-shard reads (the
-/// coordinator applies every topology change to every mirror at a
-/// barrier, keeping the mirrors in lockstep). Three things change on the
-/// hot path, all chosen so the event order is a pure function of the
-/// partitioned simulation and never of shard count or thread count:
+/// The per-node state that makes the event order a pure function of the
+/// simulated network, never of shard or thread count:
 ///
 ///  * every scheduled event carries a keyed priority drawn from a
 ///    per-node counter of its *scheduling context* (the node whose
-///    handler or transmit ran) — sender-side execution order is
+///    handler or transmit ran) — a node's own execution order is
 ///    shard-invariant, so the priorities are too;
-///  * packet ids come from a per-origin stream ((origin+1)<<32 | seq)
-///    instead of the global counter, and delay/loss/dup draws come from
-///    per-node RNG streams, for the same reason;
-///  * an arrival whose target lives on another shard goes to
-///    `emit_remote` instead of the local queue.
+///  * packet ids come from a per-origin counter ((origin+1)<<32 | seq)
+///    and delay/loss/dup draws from per-node RNG streams
+///    (Rng::stream(seed, 2u) and (seed, 2u + 1)), for the same reason.
 ///
-/// The pointed-to arrays are owned by the coordinator and shared by all
-/// mirrors; entry u is only ever touched by u's owning shard mid-window
-/// (or by the coordinator at a barrier), so sharing is race-free.
-struct ParallelHooks {
+/// One instance serves every mirror network of a sharded simulation;
+/// entry u is only ever touched by u's owning shard mid-window (or by the
+/// coordinator at a barrier), so sharing is race-free.
+class NodeStreams {
+public:
+    /// The RNG arrays are sized only when they are drawn from: delay
+    /// streams when hop jitter is configured, fault streams when loss or
+    /// duplication is.
+    NodeStreams(NodeId node_count, const ModelParams& params, const NetworkConfig& config);
+
+    /// Keyed priority for an event scheduled by node `ctx`: (ctx + 1) in
+    /// the high bits (0 is the control timeline), ctx's counter below,
+    /// within the event queue's 40-bit budget.
+    std::uint64_t draw(NodeId ctx) {
+        std::uint64_t& c = pri_[ctx];
+        FASTNET_EXPECTS_MSG(c < (1ULL << counter_bits_), "per-node priority counter exhausted");
+        return ((static_cast<std::uint64_t>(ctx) + 1) << counter_bits_) | c++;
+    }
+    /// Control-timeline priority for counter value `c` (context 0).
+    std::uint64_t control(std::uint64_t c) const {
+        FASTNET_EXPECTS_MSG(c < (1ULL << counter_bits_), "control priority counter exhausted");
+        return c;
+    }
+    std::uint64_t next_packet_id(NodeId origin) {
+        std::uint64_t& seq = send_seq_[origin];
+        FASTNET_EXPECTS_MSG(seq < 0xffff'ffffULL, "per-origin packet id space exhausted");
+        return ((static_cast<std::uint64_t>(origin) + 1) << 32) | ++seq;
+    }
+    Rng& delay_rng(NodeId u) { return delay_rng_[u]; }
+    Rng& fault_rng(NodeId u) { return fault_rng_[u]; }
+
+    /// Heap bytes of the per-node arrays — a memory-ledger input.
+    std::size_t memory_bytes() const;
+
+private:
+    unsigned counter_bits_ = 0;
+    std::vector<std::uint64_t> pri_;
+    std::vector<std::uint64_t> send_seq_;
+    std::vector<Rng> delay_rng_;
+    std::vector<Rng> fault_rng_;
+};
+
+/// Where one network sits in a sharded simulation. The default binding
+/// is a whole simulation on one shard: the network then owns its
+/// NodeStreams and treats every node as local.
+///
+/// A bound network is one shard's *mirror*: it simulates only the nodes
+/// whose `node_shard` entry is `shard`, but holds full per-edge link state
+/// so epoch/activity checks work without cross-shard reads (the
+/// coordinator applies every topology change to every mirror at a
+/// barrier, keeping the mirrors in lockstep). An arrival whose target
+/// lives on another shard goes to `emit_remote` instead of the local
+/// queue. The pointed-to arrays are owned by the coordinator.
+struct ShardBinding {
     std::uint32_t shard = 0;
-    /// Low bits of a keyed priority hold the counter; the context node id
-    /// (+1; 0 is the control timeline) sits above. 40-bit total budget.
-    unsigned pri_counter_bits = 0;
     const std::uint32_t* node_shard = nullptr;
-    Rng* node_rng = nullptr;
-    Rng* node_fault_rng = nullptr;
-    std::uint64_t* node_send_seq = nullptr;
-    std::uint64_t* node_pri = nullptr;
+    NodeStreams* streams = nullptr;
     std::function<void(RemoteArrival&&)> emit_remote;
 };
 
 class Network {
 public:
-    using NcuSink = std::function<void(const Delivery&)>;
-    /// Cluster-wide delivery dispatch: (receiving node, delivery).
+    /// Delivery dispatch for every NCU: (receiving node, delivery).
     using NcuDispatch = std::function<void(NodeId, const Delivery&)>;
     /// (node notified, edge, new activity state)
     using LinkSink = std::function<void(NodeId, EdgeId, bool)>;
 
     Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
-            cost::Metrics& metrics, NetworkConfig config = {});
+            cost::Metrics& metrics, NetworkConfig config = {}, ShardBinding shard = {});
 
     Network(const Network&) = delete;
     Network& operator=(const Network&) = delete;
@@ -148,14 +182,8 @@ public:
     /// enqueue/invoke events through this accessor.
     obs::MonitorHub* monitors() const { return monitors_; }
 
-    /// Registers where deliveries for `node`'s NCU go. Must be set before
-    /// any packet can be delivered there.
-    void set_ncu_sink(NodeId node, NcuSink sink);
-
-    /// Registers one dispatch callback covering every node — how a
-    /// Cluster routes deliveries to its runtimes without materializing n
-    /// std::functions. A per-node sink (set_ncu_sink) takes precedence
-    /// where registered, so tests can still intercept a single node.
+    /// Registers where NCU deliveries go. Must be set before any packet
+    /// can be delivered.
     void set_ncu_dispatch(NcuDispatch dispatch);
 
     /// Registers the data-link notification callback (one for the whole
@@ -164,11 +192,11 @@ public:
 
     /// Injects a packet from `from`'s NCU. The header's first label is
     /// matched at `from`'s own switch. Enforces dmax when configured.
-    /// Returns the packet's lineage id — monotonically assigned, stamped
-    /// on the packet and inherited by every copy/duplicate, so traces can
-    /// causally link deliveries back to this send. `parent_lineage` is
-    /// the lineage of the delivery/timer whose handler performed this
-    /// send (0 for spontaneous sends); purely observational.
+    /// Returns the packet's lineage id — stamped on the packet and
+    /// inherited by every copy/duplicate, so traces can causally link
+    /// deliveries back to this send. `parent_lineage` is the lineage of
+    /// the delivery/timer whose handler performed this send (0 for
+    /// spontaneous sends); purely observational.
     std::uint64_t send(NodeId from, AnrHeader header, std::shared_ptr<const Payload> payload,
                        std::uint64_t parent_lineage = 0);
 
@@ -216,26 +244,21 @@ public:
     /// network plus the copy bit — the paper's k = O(log m).
     unsigned label_bits() const { return label_bits_; }
 
-    // ---- scheduling façade (sequential + parallel modes) -------------
+    // ---- scheduling façade -------------------------------------------
     // NCU runtimes schedule through these instead of simulator().at/after
-    // directly: sequentially they forward verbatim, and in parallel mode
-    // they attach the keyed priority of the scheduling context `ctx`
-    // (always a node local to this mirror).
+    // directly: they attach the keyed priority of the scheduling context
+    // `ctx` (always a node local to this network).
     sim::EventId schedule_at(NodeId ctx, Tick when, sim::InlineFn fn);
     sim::EventId schedule_after(NodeId ctx, Tick delay, sim::InlineFn fn);
     void cancel_scheduled(sim::EventId id) { sim_.cancel(id); }
 
-    // ---- parallel kernel wiring (node/parallel_cluster.hpp) ----------
-    /// Switches this network into parallel mirror mode; must be called
-    /// before any traffic. See ParallelHooks.
-    void bind_parallel(ParallelHooks hooks);
-    bool parallel() const { return par_ != nullptr; }
     /// Coordinator-side: materializes a boundary-crossing packet in this
     /// mirror and schedules its arrival. Called only at window barriers.
     void inject_remote(const RemoteArrival& r);
 
     /// Heap bytes held by the fabric (link states, port geometry, packet
-    /// slabs, sinks) — a cost::Metrics memory-ledger input.
+    /// slabs, and its NodeStreams when it owns them) — a cost::Metrics
+    /// memory-ledger input.
     std::size_t memory_bytes() const;
 
 private:
@@ -252,18 +275,25 @@ private:
     Packet* alloc_packet();
     void release_packet(Packet* pkt);
 
-    // Parallel-mode helpers. A keyed priority packs (context+1) above a
-    // per-context monotone counter; the control timeline owns context 0.
-    bool par_local(NodeId u) const { return par_->node_shard[u] == par_->shard; }
-    std::uint64_t par_draw(NodeId ctx);
-    std::uint64_t par_ctl_draw();
-    std::uint64_t par_next_id(NodeId origin);
-    /// Schedules `pkt`'s arrival locally (keyed) or emits it to the
-    /// coordinator's outbox when `to` is remote. Returns true in the
-    /// remote case — the caller must release its local cursor once it is
-    /// done reading it.
-    bool par_dispatch_arrival(NodeId from, Tick arrival, NodeId to, EdgeId e,
-                              std::uint64_t epoch, Packet* pkt);
+    bool local(NodeId u) const { return node_shard_[u] == shard_; }
+    /// Schedules `pkt`'s arrival at `to` under priority `pri`: locally,
+    /// or through emit_remote when `to` lives on another shard. Returns
+    /// true in the remote case — the caller must release its local
+    /// cursor once it is done reading it.
+    bool schedule_arrival(Tick arrival, std::uint64_t pri, NodeId to, EdgeId e,
+                          std::uint64_t epoch, Packet* pkt) {
+        if (local(to)) {
+            // 32-byte capture — fits sim::InlineFn's inline storage, so
+            // the steady-state hop schedules without touching the
+            // allocator.
+            sim_.at_keyed(arrival, pri, [this, to, e, epoch, pkt] { arrive(to, e, epoch, pkt); });
+            return false;
+        }
+        hand_off(arrival, pri, to, e, epoch, *pkt);
+        return true;
+    }
+    void hand_off(Tick arrival, std::uint64_t pri, NodeId to, EdgeId e, std::uint64_t epoch,
+                  const Packet& pkt);
     /// True when monitor events must be built (attached hub with at
     /// least one monitor registered).
     bool watched() const { return monitors_ != nullptr && monitors_->active(); }
@@ -283,9 +313,19 @@ private:
     /// `monitors_ != nullptr && monitors_->active()` before building an
     /// event, so an absent or empty hub never allocates.
     obs::MonitorHub* monitors_ = nullptr;
-    Rng rng_;
-    /// Separate stream for loss/duplication draws — see NetworkConfig.
-    Rng fault_rng_;
+
+    // Shard wiring (see ShardBinding). An unbound network owns its
+    // streams and an all-zero shard map.
+    std::uint32_t shard_ = 0;
+    const std::uint32_t* node_shard_ = nullptr;
+    NodeStreams* streams_ = nullptr;
+    std::function<void(RemoteArrival&&)> emit_remote_;
+    std::unique_ptr<NodeStreams> own_streams_;
+    std::vector<std::uint32_t> own_shard_of_;
+    /// Control-timeline priority counter. Every mirror replays the whole
+    /// control timeline, so these advance in lockstep across mirrors and
+    /// a notification's priority is independent of the partition.
+    std::uint64_t ctl_pri_ = 0;
 
     /// One link downed by a node failure: restore_node honours the record
     /// only if the link's epoch still matches (nothing else happened to
@@ -315,19 +355,8 @@ private:
     /// in the graph's CSR, by the port-assignment rule above.
     std::vector<std::array<PortId, 2>> edge_ports_;
     std::vector<LinkState> links_;
-    /// Lazily sized: empty until the first set_ncu_sink call (clusters
-    /// use the dispatch below instead and never pay n functions).
-    std::vector<NcuSink> ncu_sinks_;
     NcuDispatch ncu_dispatch_;
     LinkSink link_sink_;
-    std::uint64_t next_packet_id_ = 1;
-
-    /// Non-null iff this network is one shard's mirror (parallel mode).
-    std::unique_ptr<ParallelHooks> par_;
-    /// Control-timeline priority counter. Every mirror replays the whole
-    /// control timeline, so these advance in lockstep across mirrors and
-    /// a notification's priority is independent of the partition.
-    std::uint64_t ctl_pri_ = 0;
 
     static constexpr std::size_t kPacketSlabSize = 64;
     std::vector<std::unique_ptr<Packet[]>> packet_slabs_;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -118,5 +119,8 @@ public:
     /// capacities. The base default covers stateless protocols.
     virtual std::size_t memory_bytes() const { return sizeof(*this); }
 };
+
+/// Creates the protocol instance for one node.
+using ProtocolFactory = std::function<std::unique_ptr<Protocol>(NodeId)>;
 
 }  // namespace fastnet::node

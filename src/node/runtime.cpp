@@ -5,8 +5,7 @@
 namespace fastnet::node {
 
 NodeRuntime::NodeRuntime(NodeId self, hw::Network& net, std::unique_ptr<Protocol> protocol,
-                         Rng rng, Tick ncu_delay_min, bool free_multisend,
-                         util::Arena* arena)
+                         Rng rng, util::Arena& arena, Tick ncu_delay_min, bool free_multisend)
     : self_(self),
       net_(net),
       protocol_(std::move(protocol)),
@@ -16,12 +15,7 @@ NodeRuntime::NodeRuntime(NodeId self, hw::Network& net, std::unique_ptr<Protocol
     FASTNET_EXPECTS(protocol_ != nullptr);
     const graph::Graph& g = net_.graph();
     link_count_ = static_cast<std::uint32_t>(g.degree(self));
-    if (arena != nullptr) {
-        links_ = arena->allocate_uninitialized<LocalLink>(link_count_);
-    } else {
-        links_owned_ = std::make_unique<LocalLink[]>(link_count_);
-        links_ = links_owned_.get();
-    }
+    links_ = arena.allocate_uninitialized<LocalLink>(link_count_);
     std::uint32_t i = 0;
     for (const graph::IncidentEdge& ie : g.incident(self)) {
         LocalLink l;

@@ -34,14 +34,11 @@ public:
     /// handler leaves i*P later and the NCU stays busy until the last
     /// one has left.
     ///
-    /// `arena` — optional backing store for the link table. When given
-    /// (Cluster passes its arena) the LocalLink array is bump-allocated
-    /// with the cluster's lifetime: zero per-node heap objects. When
-    /// null, the runtime owns a heap array (standalone construction in
-    /// tests).
-    NodeRuntime(NodeId self, hw::Network& net, std::unique_ptr<Protocol> protocol,
-                Rng rng, Tick ncu_delay_min = -1, bool free_multisend = true,
-                util::Arena* arena = nullptr);
+    /// `arena` backs the link table: the LocalLink array is
+    /// bump-allocated with the arena's lifetime, so a runtime holds no
+    /// per-node heap object of its own.
+    NodeRuntime(NodeId self, hw::Network& net, std::unique_ptr<Protocol> protocol, Rng rng,
+                util::Arena& arena, Tick ncu_delay_min = -1, bool free_multisend = true);
 
     NodeRuntime(const NodeRuntime&) = delete;
     NodeRuntime& operator=(const NodeRuntime&) = delete;
@@ -72,7 +69,7 @@ public:
     /// True when no work is queued or in progress.
     bool ncu_idle() const { return !busy_ && queue_.empty(); }
 
-    // ---- crash-recovery (driven by Cluster) ---------------------------
+    // ---- crash-recovery (driven by ParallelCluster) -------------------
     /// Crash semantics, as opposed to mere link-down: all soft state dies.
     /// Queued work is discarded, pending timers are cancelled, the
     /// in-progress handler (if any) never completes, and anything the
@@ -163,10 +160,9 @@ private:
     /// armed timers.
     std::uint64_t current_lineage_ = 0;
 
-    /// Link table: arena-resident (links_owned_ empty) or heap-owned.
+    /// Link table, arena-resident.
     LocalLink* links_ = nullptr;
     std::uint32_t link_count_ = 0;
-    std::unique_ptr<LocalLink[]> links_owned_;
     util::RingQueue<Work> queue_;
     bool busy_ = false;
     TimerId next_timer_ = 1;

@@ -60,54 +60,6 @@ Tick Scenario::last_action_at() const {
     return last;
 }
 
-void Scenario::apply(Cluster& cluster) const {
-    for (const ScenarioAction& a : actions_) {
-        switch (a.kind) {
-            case ScenarioAction::Kind::kStart:
-                cluster.start(a.node, a.at);
-                break;
-            case ScenarioAction::Kind::kFailLink:
-                cluster.simulator().at(a.at, [&cluster, e = a.edge] {
-                    cluster.network().fail_link(e);
-                });
-                break;
-            case ScenarioAction::Kind::kRestoreLink:
-                cluster.simulator().at(a.at, [&cluster, e = a.edge] {
-                    cluster.network().restore_link(e);
-                });
-                break;
-            case ScenarioAction::Kind::kFailNode:
-                cluster.simulator().at(a.at, [&cluster, u = a.node] {
-                    cluster.network().fail_node(u);
-                });
-                break;
-            case ScenarioAction::Kind::kRestoreNode:
-                cluster.simulator().at(a.at, [&cluster, u = a.node] {
-                    cluster.network().restore_node(u);
-                });
-                break;
-            case ScenarioAction::Kind::kCrashNode:
-                cluster.simulator().at(a.at, [&cluster, u = a.node] {
-                    cluster.crash_node(u);
-                });
-                break;
-            case ScenarioAction::Kind::kRestartNode:
-                cluster.simulator().at(a.at, [&cluster, u = a.node] {
-                    cluster.restart_node(u);
-                });
-                break;
-            case ScenarioAction::Kind::kStallNode:
-                cluster.simulator().at(a.at, [&cluster, u = a.node, x = a.amount] {
-                    cluster.stall_node(u, x);
-                });
-                break;
-            case ScenarioAction::Kind::kMarkPhase:
-                cluster.mark_phase(a.at, static_cast<std::uint64_t>(a.amount));
-                break;
-        }
-    }
-}
-
 Scenario Scenario::random_churn(const graph::Graph& g, unsigned events, Tick from, Tick to,
                                 Rng& rng, const std::vector<EdgeId>& protect) {
     ChurnSpec spec;

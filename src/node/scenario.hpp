@@ -1,16 +1,17 @@
 // Declarative failure/repair scripts for experiments.
 //
 // A Scenario is a list of timed network actions (fail/restore links and
-// nodes, start protocols) applied to a Cluster before running it. Tests,
-// benches and examples share one vocabulary instead of ad-hoc lambdas,
-// and a scenario can be generated randomly from a seed (reproducible
-// chaos testing).
+// nodes, start protocols) scheduled on a ParallelCluster before running
+// it (ParallelCluster::schedule). Tests, benches and examples share one
+// vocabulary instead of ad-hoc lambdas, and a scenario can be generated
+// randomly from a seed (reproducible chaos testing).
 #pragma once
 
 #include <vector>
 
 #include "common/rng.hpp"
-#include "node/cluster.hpp"
+#include "common/types.hpp"
+#include "graph/graph.hpp"
 
 namespace fastnet::node {
 
@@ -58,7 +59,8 @@ public:
     Scenario& restart_node(Tick at, NodeId u);
     Scenario& stall_node(Tick at, NodeId u, Tick extra);
     /// Observability marker: from `at` on, system calls are attributed to
-    /// experiment phase `phase` (see Cluster::mark_phase). No network effect.
+    /// experiment phase `phase` (see ParallelCluster::mark_phase). No
+    /// network effect.
     Scenario& mark_phase(Tick at, std::uint64_t phase);
 
     const std::vector<ScenarioAction>& actions() const { return actions_; }
@@ -67,10 +69,6 @@ public:
     /// Latest scripted time, 0 for an empty scenario (benches use this as
     /// the earliest moment recovery can be complete).
     Tick last_action_at() const;
-
-    /// Schedules every action on the cluster's simulator (idempotent per
-    /// call; the caller still runs the cluster).
-    void apply(Cluster& cluster) const;
 
     /// A random fail/restore churn: `events` actions over [from, to),
     /// never touching edges in `protect` (e.g. bridges you must keep).

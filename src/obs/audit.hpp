@@ -78,7 +78,7 @@ public:
     void broadcast_lower_bound(unsigned depth, double observed_units);
 
     /// Per-phase system-call budget, read from the metrics' phase
-    /// attribution (requires sampling — see Cluster::mark_phase).
+    /// attribution (requires sampling — see ParallelCluster::mark_phase).
     void phase_budget(const cost::Metrics& metrics, std::uint64_t phase,
                       std::uint64_t max_calls);
 

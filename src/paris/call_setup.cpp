@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/expect.hpp"
-#include "node/parallel_cluster.hpp"
 
 namespace fastnet::paris {
 namespace {
@@ -853,27 +852,13 @@ node::ProtocolFactory make_call_workload(std::shared_ptr<const graph::Graph> g,
     };
 }
 
-namespace {
-
-template <typename ClusterT>
-cost::CallStats fold_impl(const ClusterT& cluster) {
+cost::CallStats fold_call_stats(const node::ParallelCluster& cluster) {
     cost::CallStats total;
     for (NodeId u = 0; u < cluster.node_count(); ++u) {
-        const auto* agent =
-            dynamic_cast<const CallAgentProtocol*>(&cluster.protocol(u));
+        const auto* agent = dynamic_cast<const CallAgentProtocol*>(&cluster.protocol(u));
         if (agent != nullptr) total.merge_from(agent->stats());
     }
     return total;
-}
-
-}  // namespace
-
-cost::CallStats fold_call_stats(const node::Cluster& cluster) {
-    return fold_impl(cluster);
-}
-
-cost::CallStats fold_call_stats(const node::ParallelCluster& cluster) {
-    return fold_impl(cluster);
 }
 
 }  // namespace fastnet::paris

@@ -47,14 +47,10 @@
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "hw/anr.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 #include "obs/monitor.hpp"
 #include "paris/workload.hpp"
 #include "util/flat_map.hpp"
-
-namespace fastnet::node {
-class ParallelCluster;
-}
 
 namespace fastnet::paris {
 
@@ -312,7 +308,6 @@ node::ProtocolFactory make_call_workload(std::shared_ptr<const graph::Graph> g,
 
 /// Sums every agent's ledger in node order — deterministic regardless of
 /// thread/shard counts. Non-CallAgentProtocol nodes contribute nothing.
-cost::CallStats fold_call_stats(const node::Cluster& cluster);
 cost::CallStats fold_call_stats(const node::ParallelCluster& cluster);
 
 /// 64-bit trace key of a call id (TraceRecord::a of kCallEvent).

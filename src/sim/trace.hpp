@@ -55,6 +55,11 @@ enum class TraceKind : std::uint8_t {
 
 inline constexpr unsigned kTraceKindCount = 14;
 
+/// The bit of `k` in a kind mask (node::ParallelClusterConfig::trace_kinds).
+constexpr std::uint16_t trace_kind_bit(TraceKind k) {
+    return static_cast<std::uint16_t>(1u << static_cast<unsigned>(k));
+}
+
 const char* trace_kind_name(TraceKind k);
 
 /// Parses a kind name as printed by trace_kind_name; returns false on an

@@ -104,17 +104,17 @@ void BroadcastProtocol::flood(node::Context& ctx, NodeId origin, std::uint64_t r
 }
 
 BroadcastOutcome run_broadcast(const graph::Graph& g, BroadcastScheme scheme, NodeId origin,
-                               node::ClusterConfig config) {
+                               node::ParallelClusterConfig config) {
     if (scheme == BroadcastScheme::kLayeredBfs) {
         // The footnote-1 scheme requires unbounded path length.
         FASTNET_EXPECTS_MSG(config.params.dmax == 0,
                             "layered-bfs needs an unbounded dmax");
     }
-    node::Cluster cluster(g, [&g, scheme](NodeId) {
+    node::ParallelCluster cluster(g, [&g, scheme](NodeId) {
         return std::make_unique<BroadcastProtocol>(g, scheme);
     }, config);
     cluster.start(origin, 0);
-    cluster.run();
+    const Tick done = cluster.run();
 
     BroadcastOutcome out;
     const NodeId n = cluster.node_count();
@@ -136,7 +136,7 @@ BroadcastOutcome run_broadcast(const graph::Graph& g, BroadcastScheme scheme, No
     if (config.params.ncu_delay > 0)
         out.time_units = static_cast<double>(out.elapsed) /
                          static_cast<double>(config.params.ncu_delay);
-    out.cost = cost::snapshot(cluster.metrics(), cluster.simulator().now());
+    out.cost = cost::snapshot(cluster.merged_metrics(), done);
     return out;
 }
 

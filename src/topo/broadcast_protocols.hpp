@@ -19,7 +19,7 @@
 
 #include "cost/metrics.hpp"
 #include "graph/algorithms.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 #include "topo/broadcast_plan.hpp"
 
 namespace fastnet::topo {
@@ -103,6 +103,6 @@ struct BroadcastOutcome {
 
 /// Runs one broadcast of `scheme` from `origin` over `g` and reports.
 BroadcastOutcome run_broadcast(const graph::Graph& g, BroadcastScheme scheme, NodeId origin,
-                               node::ClusterConfig config = {});
+                               node::ParallelClusterConfig config = {});
 
 }  // namespace fastnet::topo

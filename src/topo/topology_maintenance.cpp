@@ -244,10 +244,12 @@ bool view_converged(const TopologyMaintenance& proto, const hw::Network& net, No
     return true;
 }
 
-bool all_views_converged(node::Cluster& cluster) {
+bool all_views_converged(node::ParallelCluster& cluster) {
+    // Every mirror replays the same control timeline, so mirror 0's link
+    // states are ground truth for every node.
     for (NodeId u = 0; u < cluster.node_count(); ++u) {
         const auto& p = cluster.protocol_as<TopologyMaintenance>(u);
-        if (!view_converged(p, cluster.network(), u)) return false;
+        if (!view_converged(p, cluster.mirror(0), u)) return false;
     }
     return true;
 }

@@ -25,7 +25,7 @@
 
 #include "graph/rooted_tree.hpp"
 #include "hw/network.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 #include "topo/broadcast_protocols.hpp"
 
 namespace fastnet::topo {
@@ -124,7 +124,7 @@ private:
     unsigned rounds_left_ = 0;
 };
 
-/// Factory for Cluster construction.
+/// Factory for ParallelCluster construction.
 node::ProtocolFactory make_topology_maintenance(NodeId node_count, TopologyOptions options);
 
 /// True if `self`'s view is exact over its *actual* connected component
@@ -134,6 +134,6 @@ node::ProtocolFactory make_topology_maintenance(NodeId node_count, TopologyOptio
 bool view_converged(const TopologyMaintenance& proto, const hw::Network& net, NodeId self);
 
 /// True if every node's view has converged.
-bool all_views_converged(node::Cluster& cluster);
+bool all_views_converged(node::ParallelCluster& cluster);
 
 }  // namespace fastnet::topo

@@ -14,7 +14,8 @@
 // Everything allocated between two reset() calls has one common lifetime
 // (exactly the shape of cluster construction), and objects with
 // non-trivial destructors are the caller's responsibility to destroy
-// before reset() — see Cluster's runtime array for the idiom.
+// before reset() — see ParallelCluster's per-shard runtime arrays for the
+// idiom.
 #pragma once
 
 #include <cstddef>

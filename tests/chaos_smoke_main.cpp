@@ -42,8 +42,8 @@ using namespace fastnet;
 
 namespace {
 
-node::ClusterConfig base_config() {
-    node::ClusterConfig cfg;
+node::ParallelClusterConfig base_config() {
+    node::ParallelClusterConfig cfg;
     cfg.params.hop_delay = 2;
     cfg.params.ncu_delay = 2;
     cfg.net.hop_delay_min = 0;
@@ -122,27 +122,32 @@ int main(int argc, char** argv) {
         mon.link_spacing = c.config.net.link_spacing;
         if (!c.config.free_multisend && c.config.ncu_delay_min < 0)
             mon.min_send_gap = c.config.params.ncu_delay;
-        c.monitor_setup = [mon](obs::MonitorHub& hub) {
+        c.config.monitor_setup = [mon](obs::MonitorHub& hub) {
             obs::add_standard_monitors(hub, mon);
         };
         if (trace_case.empty() || c.name != trace_case) return;
         trace_case_found = true;
-        c.config.trace = std::make_shared<sim::Trace>(std::size_t{1} << 20);
+        c.config.trace_capacity = std::size_t{1} << 20;
         c.config.sample_window = 50;
         auto inner = std::move(c.probe);
         c.probe = [inner, prefix = trace_prefix, name = c.name](
-                      node::Cluster& cluster, exec::CaseResult& r) {
-            if (inner) inner(cluster, r);
+                      node::ParallelCluster& cluster, const cost::Metrics& m,
+                      exec::CaseResult& r) {
+            if (inner) inner(cluster, m, r);
             const obs::ExportMeta meta = obs::make_meta(cluster.graph(), name);
-            const sim::Trace& trace = *cluster.trace();
-            if (!exec::write_text_file(prefix + ".canonical.json",
-                                       obs::canonical_trace_json(trace, meta)) ||
+            const std::vector<sim::TraceRecord> trace = cluster.merged_trace();
+            if (!exec::write_text_file(
+                    prefix + ".canonical.json",
+                    obs::canonical_trace_json(trace, meta, cluster.trace_total_recorded(),
+                                              cluster.trace_dropped(),
+                                              cluster.trace_detail_dropped())) ||
                 !exec::write_text_file(prefix + ".chrome.json",
                                        obs::chrome_trace_json(trace, meta)) ||
-                !exec::write_text_file(prefix + ".metrics.json",
-                                       obs::metrics_json(cluster.metrics(), name)) ||
-                !exec::write_text_file(prefix + ".monitors.json",
-                                       obs::violations_json(*cluster.monitors(), name))) {
+                !exec::write_text_file(prefix + ".metrics.json", obs::metrics_json(m, name)) ||
+                !exec::write_text_file(
+                    prefix + ".monitors.json",
+                    obs::violations_json(cluster.monitor_count(), cluster.violation_count(),
+                                         cluster.merged_violations(), name))) {
                 std::cerr << "cannot write trace exports with prefix " << prefix << "\n";
                 r.ok = false;
             }
@@ -172,7 +177,7 @@ int main(int argc, char** argv) {
         // a restarted node); plain mode makes it relearn peer by peer.
         topo_opt.full_knowledge = (seed % 2 == 0);
 
-        node::ClusterConfig cfg = base_config();
+        node::ParallelClusterConfig cfg = base_config();
         inj.configure(cfg);
         // A slice of seeds exercises the hardware-discipline monitors
         // non-vacuously: A1 serialized sends at a fixed P (the monitor
@@ -189,7 +194,7 @@ int main(int argc, char** argv) {
         c.config = cfg;
         c.scenario = inj.compile(g);
         c.graph = std::move(g);
-        c.probe = [](node::Cluster& cluster, exec::CaseResult& r) {
+        c.probe = [](node::ParallelCluster& cluster, const cost::Metrics&, exec::CaseResult& r) {
             const fault::OracleReport rep = fault::check_theorem1(cluster);
             r.ok = rep.ok();
             if (!rep.ok()) std::cerr << "oracle: " << rep.summary() << "\n";
@@ -226,7 +231,7 @@ int main(int argc, char** argv) {
         std::map<NodeId, std::vector<topo::SendRequest>> sends;
         sends[src] = {{40, dst, 7001}, {300, dst, 7002}};
 
-        node::ClusterConfig cfg = base_config();
+        node::ParallelClusterConfig cfg = base_config();
         inj.configure(cfg);
 
         exec::ClusterCase c;
@@ -235,7 +240,8 @@ int main(int argc, char** argv) {
         c.config = cfg;
         c.scenario = inj.compile(g);
         c.graph = std::move(g);
-        c.probe = [src, dst](node::Cluster& cluster, exec::CaseResult& r) {
+        c.probe = [src, dst](node::ParallelCluster& cluster, const cost::Metrics&,
+                             exec::CaseResult& r) {
             fault::Oracle o(cluster);
             o.require_quiescent()
                 .require_no_inflight()
@@ -270,7 +276,7 @@ int main(int argc, char** argv) {
         c.config = base_config();
         c.scenario = inj.compile(g);
         c.graph = std::move(g);
-        c.probe = [](node::Cluster& cluster, exec::CaseResult& r) {
+        c.probe = [](node::ParallelCluster& cluster, const cost::Metrics&, exec::CaseResult& r) {
             fault::Oracle o(cluster);
             o.require_quiescent().require_no_inflight().require_at_most_one_leader();
             r.ok = o.ok();
@@ -318,7 +324,7 @@ int main(int argc, char** argv) {
         aopt.workload.first_at = 10;
         aopt.workload.until = 700;
 
-        node::ClusterConfig cfg = base_config();
+        node::ParallelClusterConfig cfg = base_config();
         inj.configure(cfg);
 
         exec::ClusterCase c;
@@ -327,7 +333,7 @@ int main(int argc, char** argv) {
         c.config = cfg;
         c.scenario = inj.compile(*g);
         c.graph = *g;
-        c.probe = [](node::Cluster& cluster, exec::CaseResult& r) {
+        c.probe = [](node::ParallelCluster& cluster, const cost::Metrics&, exec::CaseResult& r) {
             const fault::OracleReport calls = fault::check_calls(cluster);
             fault::Oracle o(cluster);
             o.require_quiescent().require_no_inflight();

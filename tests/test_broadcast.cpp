@@ -102,7 +102,7 @@ TEST(LayeredBfs, OneUnitWithQuadraticHeader) {
 }
 
 TEST(LayeredBfs, RejectsBoundedDmax) {
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params.dmax = 8;
     EXPECT_THROW(
         run_broadcast(graph::make_path(4), BroadcastScheme::kLayeredBfs, 0, cfg),
@@ -134,7 +134,7 @@ TEST(Broadcast, DmaxDiameterSufficesForBranchingPathsOnTrees) {
     // With dmax = n every decomposition path fits (paths are tree paths).
     Rng rng(12);
     const Graph g = graph::make_random_tree(50, rng);
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params.dmax = 51;  // path of <= 50 nodes -> header <= 50 labels
     const auto out = run_broadcast(g, BroadcastScheme::kBranchingPaths, 0, cfg);
     EXPECT_TRUE(out.all_received);
@@ -142,7 +142,7 @@ TEST(Broadcast, DmaxDiameterSufficesForBranchingPathsOnTrees) {
 
 TEST(Broadcast, HardwareDelayShiftsTimesButNotCalls) {
     const Graph g = graph::make_path(8);
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params.hop_delay = 10;  // C = 10, P = 1
     const auto out = run_broadcast(g, BroadcastScheme::kBranchingPaths, 0, cfg);
     EXPECT_TRUE(out.all_received);

@@ -4,7 +4,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 #include "topo/broadcast_protocols.hpp"
 
 namespace fastnet::topo {
@@ -16,19 +16,19 @@ using graph::Graph;
 /// before the start.
 BroadcastOutcome run_with_failures(const Graph& g, BroadcastScheme scheme, NodeId origin,
                                    const std::vector<EdgeId>& dead) {
-    node::Cluster cluster(g, [&g, scheme](NodeId) {
+    node::ParallelCluster cluster(g, [&g, scheme](NodeId) {
         return std::make_unique<BroadcastProtocol>(g, scheme);
     });
-    for (EdgeId e : dead) cluster.network().fail_link(e);
+    for (EdgeId e : dead) cluster.fail_link(0, e);
     // Note: the protocol still *plans* over the full graph — the origin
     // has not yet learned of the failures, exactly the Section 3 setting.
     cluster.start(origin, 1);
-    cluster.run();
+    const Tick done = cluster.run();
     BroadcastOutcome out;
     out.received.resize(g.node_count());
     for (NodeId u = 0; u < g.node_count(); ++u)
         out.received[u] = cluster.protocol_as<BroadcastProtocol>(u).received();
-    out.cost = cost::snapshot(cluster.metrics(), cluster.simulator().now());
+    out.cost = cost::snapshot(cluster.merged_metrics(), done);
     return out;
 }
 
@@ -107,15 +107,15 @@ TEST(FailureBroadcast, OneWayPropertyRandomized) {
 TEST(FailureBroadcast, MidFlightFailureWithSlowLinks) {
     // With C > 0 a failure can hit while the path message is in transit.
     const Graph g = graph::make_path(5);
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params.hop_delay = 10;
-    node::Cluster cluster(g, [&g](NodeId) {
+    node::ParallelCluster cluster(g, [&g](NodeId) {
         return std::make_unique<BroadcastProtocol>(g, BroadcastScheme::kBranchingPaths);
     }, cfg);
     cluster.start(0, 0);
     // The single path message leaves at t=1; it crosses edge (2,3) during
     // [21, 31). Kill it at t=25.
-    cluster.simulator().at(25, [&cluster, &g] { cluster.network().fail_link(g.find_edge(2, 3)); });
+    cluster.fail_link(25, g.find_edge(2, 3));
     cluster.run();
     EXPECT_TRUE(cluster.protocol_as<BroadcastProtocol>(1).received());
     EXPECT_TRUE(cluster.protocol_as<BroadcastProtocol>(2).received());

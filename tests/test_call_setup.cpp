@@ -23,7 +23,7 @@ struct Harness {
         return cluster.protocol_as<CallAgentProtocol>(u);
     }
     Graph g;
-    node::Cluster cluster;
+    node::ParallelCluster cluster;
 };
 
 TEST(CallSetup, SimpleCallActivatesEndToEnd) {
@@ -48,8 +48,8 @@ TEST(CallSetup, SetupCostsOneSystemCallPerOnPathNode) {
     EXPECT_EQ(h.agent(0).calls_active(), 1u);
     // setup (5 receptions: nodes 1..5) + accept with copies (5 receptions
     // at nodes 4..0).
-    EXPECT_EQ(h.cluster.metrics().total_message_system_calls(), 10u);
-    EXPECT_EQ(h.cluster.metrics().total_direct_messages(), 2u);
+    EXPECT_EQ(h.cluster.merged_metrics().total_message_system_calls(), 10u);
+    EXPECT_EQ(h.cluster.merged_metrics().total_direct_messages(), 2u);
 }
 
 TEST(CallSetup, InsufficientCapacityRejectsAndReleasesEverywhere) {
@@ -130,9 +130,7 @@ TEST(CallSetup, ContendingSourcesShareByCapacity) {
 TEST(CallSetup, LinkFailureDisconnectsActiveCall) {
     Harness h(graph::make_path(5), 4, {{0, {{1, 4, 1, -1}}}});
     // Fail the middle hop after the call is up.
-    h.cluster.simulator().at(100, [&h] {
-        h.cluster.network().fail_link(h.g.find_edge(2, 3));
-    });
+    h.cluster.fail_link(100, h.g.find_edge(2, 3));
     h.cluster.run();
     EXPECT_EQ(h.agent(0).calls_failed(), 1u);
     EXPECT_EQ(h.agent(0).calls_active(), 0u);
@@ -148,9 +146,7 @@ TEST(CallSetup, LinkFailureDisconnectsActiveCall) {
 
 TEST(CallSetup, FailureOfOffPathLinkIsHarmless) {
     Harness h(graph::make_cycle(6), 4, {{0, {{1, 2, 1, -1}}}});
-    h.cluster.simulator().at(100, [&h] {
-        h.cluster.network().fail_link(h.g.find_edge(3, 4));
-    });
+    h.cluster.fail_link(100, h.g.find_edge(3, 4));
     h.cluster.run();
     EXPECT_EQ(h.agent(0).calls_active(), 1u);
     EXPECT_EQ(h.agent(0).calls_failed(), 0u);
@@ -161,7 +157,7 @@ TEST(CallSetup, UnreachableDestinationRejectsLocally) {
     Harness h(std::move(g), 4, {{0, {{1, 3, 1, -1}}}});
     h.cluster.run();
     EXPECT_EQ(h.agent(0).calls_rejected(), 1u);
-    EXPECT_EQ(h.cluster.metrics().total_direct_messages(), 0u);
+    EXPECT_EQ(h.cluster.merged_metrics().total_direct_messages(), 0u);
 }
 
 TEST(CallSetup, ManyCallsRandomizedNoCapacityLeaks) {
@@ -206,7 +202,7 @@ struct SeqHarness {
         return cluster.protocol_as<CallAgentProtocol>(u);
     }
     Graph g;
-    node::Cluster cluster;
+    node::ParallelCluster cluster;
 };
 
 TEST(CallSetupSequential, StillActivatesEndToEnd) {
@@ -234,15 +230,15 @@ TEST(CallSetupSequential, SelectiveCopyIsFasterSameSystemCalls) {
     auto run_mode = [](bool copy) {
         const Graph g = graph::make_path(10);
         std::map<NodeId, std::vector<CallRequest>> scripts{{0, {{1, 9, 1, -1}}}};
-        node::Cluster c(g, make_call_agents(g, 4, scripts, copy));
+        node::ParallelCluster c(g, make_call_agents(g, 4, scripts, copy));
         c.start_all(0);
-        c.run();
+        const Tick done = c.run();
         struct R {
             Tick done;
             std::uint64_t calls;
             bool active;
         };
-        return R{c.simulator().now(), c.metrics().total_message_system_calls(),
+        return R{done, c.merged_metrics().total_message_system_calls(),
                  c.protocol_as<CallAgentProtocol>(0).calls_active() == 1};
     };
     const auto fast = run_mode(true);

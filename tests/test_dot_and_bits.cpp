@@ -47,8 +47,7 @@ struct BitFixture {
     explicit BitFixture(graph::Graph graph)
         : g(std::move(graph)), metrics(g.node_count()),
           net(sim, g, ModelParams::fast_network(), metrics) {
-        for (NodeId u = 0; u < g.node_count(); ++u)
-            net.set_ncu_sink(u, [](const hw::Delivery&) {});
+        net.set_ncu_dispatch([](NodeId, const hw::Delivery&) {});
     }
     sim::Simulator sim;
     graph::Graph g;

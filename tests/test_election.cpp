@@ -123,7 +123,7 @@ TEST(Election, HeaderLengthsStayLinear) {
 TEST(Election, WorksUnderHardwareDelays) {
     Rng rng(5);
     const Graph g = graph::make_random_connected(30, 2, 10, rng);
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params.hop_delay = 3;  // C = 3, P = 1
     const auto out = run_election(g, {}, {}, cfg);
     EXPECT_TRUE(out.unique_leader);
@@ -133,7 +133,7 @@ TEST(Election, WorksUnderHardwareDelays) {
 TEST(Election, WorksUnderRandomizedDelays) {
     Rng rng(6);
     const Graph g = graph::make_random_connected(25, 2, 10, rng);
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params.hop_delay = 8;
     cfg.params.ncu_delay = 5;
     cfg.net.hop_delay_min = 0;
@@ -146,7 +146,7 @@ TEST(Election, WorksUnderRandomizedDelays) {
 
 TEST(Election, DisconnectedGraphElectsPerComponent) {
     const Graph g = graph::disjoint_union(graph::make_cycle(5), graph::make_path(4));
-    node::Cluster cluster(g, [](NodeId) { return std::make_unique<ElectionProtocol>(); });
+    node::ParallelCluster cluster(g, [](NodeId) { return std::make_unique<ElectionProtocol>(); });
     cluster.start_all(0);
     cluster.run();
     int leaders_left = 0, leaders_right = 0;
@@ -162,7 +162,7 @@ TEST(Election, DisconnectedGraphElectsPerComponent) {
 TEST(Election, EveryNodeLearnsTheSameLeader) {
     Rng rng(9);
     const Graph g = graph::make_random_connected(40, 2, 10, rng);
-    node::Cluster cluster(g, [](NodeId) { return std::make_unique<ElectionProtocol>(); });
+    node::ParallelCluster cluster(g, [](NodeId) { return std::make_unique<ElectionProtocol>(); });
     cluster.start_all(0);
     cluster.run();
     NodeId leader = kNoNode;
@@ -177,7 +177,7 @@ TEST(Election, EveryNodeLearnsTheSameLeader) {
 TEST(Election, LeaderDomainSpansComponent) {
     Rng rng(11);
     const Graph g = graph::make_random_connected(35, 2, 10, rng);
-    node::Cluster cluster(g, [](NodeId) { return std::make_unique<ElectionProtocol>(); });
+    node::ParallelCluster cluster(g, [](NodeId) { return std::make_unique<ElectionProtocol>(); });
     cluster.start_all(0);
     cluster.run();
     for (NodeId u = 0; u < g.node_count(); ++u) {
@@ -246,7 +246,7 @@ TEST_P(ElectionProperty, ExactlyOneLeaderAlwaysAndWithin6N) {
     for (NodeId u = 0; u < n; ++u)
         if (rng.chance(1, 3)) initiators.push_back(u);
     if (initiators.empty()) initiators.push_back(static_cast<NodeId>(rng.below(n)));
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.seed = seed * 7 + 1;
     const auto out = run_election(g, opt, initiators, cfg, /*stagger=*/3);
     EXPECT_TRUE(out.unique_leader);

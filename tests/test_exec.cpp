@@ -159,7 +159,7 @@ SweepRunner make_maintenance_sweep(unsigned threads) {
             topo::TopologyOptions topo_opt;
             topo_opt.rounds = 30;
             topo_opt.period = 50;
-            node::ClusterConfig cfg;
+            node::ParallelClusterConfig cfg;
             cfg.params.hop_delay = 3;
             cfg.params.ncu_delay = 2;
             cfg.net.hop_delay_min = 0;
@@ -175,10 +175,9 @@ SweepRunner make_maintenance_sweep(unsigned threads) {
             c.protocol = topo::make_topology_maintenance(s.graph.node_count(), topo_opt);
             c.config = cfg;
             c.scenario = std::move(scenario);
-            c.probe = [](node::Cluster& cluster, CaseResult& r) {
+            c.probe = [](node::ParallelCluster& cluster, const cost::Metrics& m, CaseResult& r) {
                 r.ok = topo::all_views_converged(cluster);
-                r.set("invocations",
-                      static_cast<double>(cluster.metrics().total_invocations()));
+                r.set("invocations", static_cast<double>(m.total_invocations()));
             };
             runner.add(std::move(c));
         }

@@ -31,6 +31,7 @@ struct Probe final : node::Protocol {
         int timer_fires = 0;
         int deliveries = 0;
         std::vector<std::uint64_t> incarnations;
+        bool ping_on_start = false;  ///< Send one Ping over the first link.
     };
 
     explicit Probe(std::shared_ptr<Shared> s, Tick timer_delay = 0)
@@ -40,6 +41,11 @@ struct Probe final : node::Protocol {
         s_->starts += 1;
         s_->incarnations.push_back(ctx.incarnation());
         if (timer_delay_ > 0) ctx.set_timer(timer_delay_, 7);
+        if (s_->ping_on_start) {
+            hw::AnrHeader h{hw::AnrLabel::normal(ctx.links()[0].port),
+                            hw::AnrLabel::normal(hw::kNcuPort)};
+            ctx.send(std::move(h), std::make_shared<Ping>());
+        }
     }
     void on_restart(node::Context& ctx) override {
         s_->restarts += 1;
@@ -53,10 +59,10 @@ struct Probe final : node::Protocol {
 };
 
 struct ProbeCluster {
-    ProbeCluster(graph::Graph g, node::ClusterConfig cfg = {}, Tick timer_delay = 0)
+    ProbeCluster(graph::Graph g, node::ParallelClusterConfig cfg = {}, Tick timer_delay = 0)
         : shared(g.node_count()) {
         for (auto& s : shared) s = std::make_shared<Probe::Shared>();
-        cluster = std::make_unique<node::Cluster>(
+        cluster = std::make_unique<node::ParallelCluster>(
             std::move(g),
             [this, timer_delay](NodeId u) {
                 return std::make_unique<Probe>(shared[u], timer_delay);
@@ -64,7 +70,7 @@ struct ProbeCluster {
             cfg);
     }
     std::vector<std::shared_ptr<Probe::Shared>> shared;
-    std::unique_ptr<node::Cluster> cluster;
+    std::unique_ptr<node::ParallelCluster> cluster;
 };
 
 node::ProtocolFactory idle_factory() {
@@ -76,18 +82,18 @@ node::ProtocolFactory idle_factory() {
 TEST(Crash, WipesPendingTimers) {
     ProbeCluster pc(graph::make_path(2), {}, /*timer_delay=*/1000);
     pc.cluster->start(0, 0);
-    node::Scenario().crash_node(10, 0).apply(*pc.cluster);
+    pc.cluster->schedule(node::Scenario().crash_node(10, 0));
     pc.cluster->run();
     EXPECT_EQ(pc.shared[0]->starts, 1);
     EXPECT_EQ(pc.shared[0]->timer_fires, 0) << "a crashed node's timers must not fire";
     EXPECT_TRUE(pc.cluster->crashed(0));
-    EXPECT_EQ(pc.cluster->metrics().node(0).crashes, 1u);
+    EXPECT_EQ(pc.cluster->merged_metrics().node(0).crashes, 1u);
 }
 
 TEST(Crash, RestartBuildsFreshInstanceUnderBumpedIncarnation) {
     ProbeCluster pc(graph::make_path(2), {}, /*timer_delay=*/1000);
     pc.cluster->start(0, 0);
-    node::Scenario().crash_node(10, 0).restart_node(20, 0).apply(*pc.cluster);
+    pc.cluster->schedule(node::Scenario().crash_node(10, 0).restart_node(20, 0));
     pc.cluster->run();
     EXPECT_EQ(pc.shared[0]->starts, 1);
     EXPECT_EQ(pc.shared[0]->restarts, 1);
@@ -95,110 +101,108 @@ TEST(Crash, RestartBuildsFreshInstanceUnderBumpedIncarnation) {
     EXPECT_EQ(pc.shared[0]->incarnations[0], 0u);
     EXPECT_EQ(pc.shared[0]->incarnations[1], 1u);
     EXPECT_FALSE(pc.cluster->crashed(0));
-    EXPECT_EQ(pc.cluster->metrics().node(0).restarts, 1u);
+    EXPECT_EQ(pc.cluster->merged_metrics().node(0).restarts, 1u);
     // The first life's timer died with the first instance.
     EXPECT_EQ(pc.shared[0]->timer_fires, 0);
 }
 
 TEST(Crash, IdempotentAndRestartIsNoopOnLiveNodes) {
     ProbeCluster pc(graph::make_path(2));
-    pc.cluster->crash_node(0);
-    pc.cluster->crash_node(0);  // second crash of a dead node: no-op
-    EXPECT_EQ(pc.cluster->metrics().node(0).crashes, 1u);
-    pc.cluster->restart_node(0);
-    pc.cluster->restart_node(0);  // already live again: no-op
-    pc.cluster->restart_node(1);  // never crashed: no-op
+    pc.cluster->crash_node(0, 0);
+    pc.cluster->crash_node(0, 0);  // second crash of a dead node: no-op
+    pc.cluster->run_until(0);
+    EXPECT_EQ(pc.cluster->merged_metrics().node(0).crashes, 1u);
+    pc.cluster->restart_node(1, 0);
+    pc.cluster->restart_node(1, 0);  // already live again: no-op
+    pc.cluster->restart_node(1, 1);  // never crashed: no-op
     pc.cluster->run();
-    EXPECT_EQ(pc.cluster->metrics().node(0).restarts, 1u);
-    EXPECT_EQ(pc.cluster->metrics().node(1).restarts, 0u);
+    EXPECT_EQ(pc.cluster->merged_metrics().node(0).restarts, 1u);
+    EXPECT_EQ(pc.cluster->merged_metrics().node(1).restarts, 0u);
     EXPECT_EQ(pc.shared[1]->restarts, 0);
 }
 
 TEST(Crash, DropsInFlightPacketsViaEpochBump) {
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params.hop_delay = 10;
     ProbeCluster pc(graph::make_path(2), cfg);
     auto& c = *pc.cluster;
-    c.simulator().at(0, [&c] {
-        c.network().send(0, c.network().route(std::vector<NodeId>{0, 1}),
-                         std::make_shared<Ping>());
-    });
-    c.simulator().at(5, [&c] { c.crash_node(1); });  // packet is mid-link
+    pc.shared[0]->ping_on_start = true;
+    c.start(0, 0);        // the ping leaves at 1 and would arrive at 11
+    c.crash_node(5, 1);   // packet is mid-link
     c.run();
     EXPECT_EQ(pc.shared[1]->deliveries, 0) << "packet must die with the epoch";
-    EXPECT_EQ(c.metrics().net().ncu_deliveries, 0u);
-    EXPECT_EQ(c.network().packets_in_flight(), 0u) << "dropped packet leaked its cursor";
+    EXPECT_EQ(c.merged_metrics().net().ncu_deliveries, 0u);
+    EXPECT_EQ(c.packets_in_flight(), 0u) << "dropped packet leaked its cursor";
 }
 
 // ---- selective node restore at the link layer -------------------------
 
 TEST(NodeRestore, SkipsLinksThatFailedIndependently) {
-    node::Cluster c(graph::make_complete(3), idle_factory());
+    node::ParallelCluster c(graph::make_complete(3), idle_factory());
     const EdgeId e01 = c.graph().find_edge(0, 1);
     const EdgeId e02 = c.graph().find_edge(0, 2);
-    c.network().fail_link(e01);  // independent failure, not the crash's doing
-    c.crash_node(0);             // downs e02 (e01 was already down)
-    c.restart_node(0);
+    c.fail_link(0, e01);  // independent failure, not the crash's doing
+    c.crash_node(0, 0);   // downs e02 (e01 was already down)
+    c.restart_node(0, 0);
     c.run();
-    EXPECT_TRUE(c.network().link_active(e02)) << "the crash's own link must come back";
-    EXPECT_FALSE(c.network().link_active(e01)) << "an independent failure must persist";
+    EXPECT_TRUE(c.mirror(0).link_active(e02)) << "the crash's own link must come back";
+    EXPECT_FALSE(c.mirror(0).link_active(e01)) << "an independent failure must persist";
 }
 
 TEST(NodeRestore, SkipsLinksTouchedSinceTheCrash) {
-    node::Cluster c(graph::make_path(2), idle_factory());
+    node::ParallelCluster c(graph::make_path(2), idle_factory());
     const EdgeId e01 = c.graph().find_edge(0, 1);
-    c.crash_node(1);                   // downs e01, records its epoch
-    c.network().restore_link(e01);     // repaired by someone else meanwhile
-    EXPECT_TRUE(c.network().link_active(e01));
-    c.restart_node(1);                 // stale record: epoch moved on, skip
+    c.crash_node(0, 1);      // downs e01, records its epoch
+    c.restore_link(0, e01);  // repaired by someone else meanwhile
+    c.run_until(0);
+    EXPECT_TRUE(c.mirror(0).link_active(e01));
+    c.restart_node(1, 1);    // stale record: epoch moved on, skip
     c.run();
-    EXPECT_TRUE(c.network().link_active(e01));
+    EXPECT_TRUE(c.mirror(0).link_active(e01));
 }
 
 TEST(NodeRestore, DefersSharedLinkUntilBothEndpointsAreBack) {
-    node::Cluster c(graph::make_path(3), idle_factory());
+    node::ParallelCluster c(graph::make_path(3), idle_factory());
     const EdgeId e01 = c.graph().find_edge(0, 1);
     const EdgeId e12 = c.graph().find_edge(1, 2);
-    c.crash_node(1);  // downs e01 and e12
-    c.crash_node(2);  // e12 already down; attributed to node 1's record
-    c.restart_node(1);
-    EXPECT_TRUE(c.network().link_active(e01));
-    EXPECT_FALSE(c.network().link_active(e12)) << "peer still down: link must wait";
-    c.restart_node(2);
-    EXPECT_TRUE(c.network().link_active(e12));
+    c.crash_node(0, 1);  // downs e01 and e12
+    c.crash_node(0, 2);  // e12 already down; attributed to node 1's record
+    c.restart_node(0, 1);
+    c.run_until(0);
+    EXPECT_TRUE(c.mirror(0).link_active(e01));
+    EXPECT_FALSE(c.mirror(0).link_active(e12)) << "peer still down: link must wait";
+    c.restart_node(1, 2);
+    c.run_until(1);
+    EXPECT_TRUE(c.mirror(0).link_active(e12));
     c.run();
 }
 
 // ---- seeded packet-level faults ---------------------------------------
 
 TEST(PacketFaults, CertainLossDropsEveryTransmission) {
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.net.loss_ppm = 1'000'000;
     ProbeCluster pc(graph::make_path(2), cfg);
     auto& c = *pc.cluster;
-    c.simulator().at(0, [&c] {
-        c.network().send(0, c.network().route(std::vector<NodeId>{0, 1}),
-                         std::make_shared<Ping>());
-    });
+    pc.shared[0]->ping_on_start = true;
+    c.start(0, 0);
     c.run();
     EXPECT_EQ(pc.shared[1]->deliveries, 0);
-    EXPECT_EQ(c.metrics().net().drops_injected, 1u);
-    EXPECT_EQ(c.network().packets_in_flight(), 0u);
+    EXPECT_EQ(c.merged_metrics().net().drops_injected, 1u);
+    EXPECT_EQ(c.packets_in_flight(), 0u);
 }
 
 TEST(PacketFaults, CertainDuplicationDeliversTwiceAndIsAccounted) {
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.net.dup_ppm = 1'000'000;
     ProbeCluster pc(graph::make_path(2), cfg);
     auto& c = *pc.cluster;
-    c.simulator().at(0, [&c] {
-        c.network().send(0, c.network().route(std::vector<NodeId>{0, 1}),
-                         std::make_shared<Ping>());
-    });
+    pc.shared[0]->ping_on_start = true;
+    c.start(0, 0);
     c.run();
     EXPECT_EQ(pc.shared[1]->deliveries, 2) << "dup_ppm=100% must deliver both copies";
-    EXPECT_EQ(c.metrics().net().dup_copies, 1u);
-    EXPECT_EQ(c.network().packets_in_flight(), 0u);
+    EXPECT_EQ(c.merged_metrics().net().dup_copies, 1u);
+    EXPECT_EQ(c.packets_in_flight(), 0u);
 }
 
 // ---- NCU stalls -------------------------------------------------------
@@ -206,7 +210,7 @@ TEST(PacketFaults, CertainDuplicationDeliversTwiceAndIsAccounted) {
 TEST(Stall, InflatesProcessingDelayDeterministically) {
     auto timed_run = [](Tick stall) {
         ProbeCluster pc(graph::make_path(2));
-        pc.cluster->stall_node(0, stall);
+        pc.cluster->stall_node(0, 0, stall);
         pc.cluster->start(0, 0);
         return pc.cluster->run();
     };
@@ -251,17 +255,17 @@ TEST(Injector, CompileIsPureInModelSeedGraph) {
 }
 
 TEST(Injector, HealLeavesTheNetworkWhole) {
-    node::Cluster c(graph::make_cycle(8), idle_factory());
+    node::ParallelCluster c(graph::make_cycle(8), idle_factory());
     const FaultInjector inj(busy_model(), 5);
     const node::Scenario s = inj.compile(c.graph());
     EXPECT_EQ(s.last_action_at(), busy_model().heal_at);
-    s.apply(c);
+    c.schedule(s);
     c.run();
     for (EdgeId e = 0; e < c.graph().edge_count(); ++e)
-        EXPECT_TRUE(c.network().link_active(e)) << "edge " << e;
+        EXPECT_TRUE(c.mirror(0).link_active(e)) << "edge " << e;
     for (NodeId u = 0; u < c.node_count(); ++u) {
         EXPECT_FALSE(c.crashed(u)) << "node " << u;
-        EXPECT_FALSE(c.network().node_failed(u)) << "node " << u;
+        EXPECT_FALSE(c.mirror(0).node_failed(u)) << "node " << u;
     }
 }
 
@@ -302,7 +306,7 @@ TEST(Injector, ConfigureAppliesPacketFaults) {
     FaultModel m;
     m.loss_ppm = 123;
     m.dup_ppm = 456;
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     FaultInjector(m, 0).configure(cfg);
     EXPECT_EQ(cfg.net.loss_ppm, 123u);
     EXPECT_EQ(cfg.net.dup_ppm, 456u);
@@ -318,7 +322,8 @@ topo::TopologyOptions quick_topo() {
 }
 
 TEST(OracleCheck, AcceptsAConvergedMaintenanceCluster) {
-    node::Cluster c(graph::make_cycle(6), topo::make_topology_maintenance(6, quick_topo()));
+    node::ParallelCluster c(graph::make_cycle(6),
+                            topo::make_topology_maintenance(6, quick_topo()));
     c.start_all(0);
     c.run();
     const OracleReport rep = check_theorem1(c);
@@ -327,11 +332,13 @@ TEST(OracleCheck, AcceptsAConvergedMaintenanceCluster) {
 }
 
 TEST(OracleCheck, FlagsAStaleViewAndPendingWork) {
-    node::Cluster c(graph::make_cycle(4), topo::make_topology_maintenance(4, quick_topo()));
+    node::ParallelCluster c(graph::make_cycle(4),
+                            topo::make_topology_maintenance(4, quick_topo()));
     c.start_all(0);
-    c.run();
+    const Tick done = c.run();
     // A failure after the protocol's last round: nobody will re-learn.
-    c.network().fail_link(0);
+    c.fail_link(done + 1, 0);
+    c.run_until(done + 1);
     Oracle o(c);
     o.require_views_converged();
     EXPECT_FALSE(o.ok());
@@ -341,7 +348,7 @@ TEST(OracleCheck, FlagsAStaleViewAndPendingWork) {
 TEST(OracleCheck, FlagsAMissingDelivery) {
     topo::RouterOptions ropt;
     ropt.topology = quick_topo();
-    node::Cluster c(graph::make_path(2), topo::make_routers(2, ropt));
+    node::ParallelCluster c(graph::make_path(2), topo::make_routers(2, ropt));
     c.start_all(0);
     c.run();
     Oracle o(c);
@@ -355,12 +362,12 @@ TEST(Recovery, MaintenanceReconvergesAfterCrashRestart) {
     topo::TopologyOptions topt;
     topt.rounds = 20;
     topt.period = 50;
-    node::Cluster c(graph::make_cycle(6), topo::make_topology_maintenance(6, topt));
+    node::ParallelCluster c(graph::make_cycle(6), topo::make_topology_maintenance(6, topt));
     c.start_all(0);
-    node::Scenario().crash_node(100, 2).restart_node(400, 2).apply(c);
+    c.schedule(node::Scenario().crash_node(100, 2).restart_node(400, 2));
     c.run();
-    EXPECT_EQ(c.metrics().node(2).crashes, 1u);
-    EXPECT_EQ(c.metrics().node(2).restarts, 1u);
+    EXPECT_EQ(c.merged_metrics().node(2).crashes, 1u);
+    EXPECT_EQ(c.merged_metrics().node(2).restarts, 1u);
     const OracleReport rep = check_theorem1(c);
     EXPECT_TRUE(rep.ok()) << rep.summary();
 }
@@ -374,9 +381,9 @@ TEST(Recovery, RouterDeliversAcrossACrashedRelay) {
     ropt.max_retries = 30;
     std::map<NodeId, std::vector<topo::SendRequest>> sends;
     sends[0] = {{40, 5, 42}};
-    node::Cluster c(graph::make_cycle(6), topo::make_routers(6, ropt, sends));
+    node::ParallelCluster c(graph::make_cycle(6), topo::make_routers(6, ropt, sends));
     c.start_all(0);
-    node::Scenario().crash_node(60, 2).restart_node(300, 2).apply(c);
+    c.schedule(node::Scenario().crash_node(60, 2).restart_node(300, 2));
     c.run();
     Oracle o(c);
     o.require_quiescent().require_no_inflight().require_views_converged()
@@ -385,10 +392,10 @@ TEST(Recovery, RouterDeliversAcrossACrashedRelay) {
 }
 
 TEST(Recovery, ElectionStaysSafeUnderCrashRestart) {
-    node::Cluster c(graph::make_cycle(6),
-                    [](NodeId) { return std::make_unique<elect::ElectionProtocol>(); });
+    node::ParallelCluster c(graph::make_cycle(6),
+                            [](NodeId) { return std::make_unique<elect::ElectionProtocol>(); });
     c.start_all(0);
-    node::Scenario().crash_node(30, 1).restart_node(200, 1).apply(c);
+    c.schedule(node::Scenario().crash_node(30, 1).restart_node(200, 1));
     c.run();
     Oracle o(c);
     o.require_quiescent().require_no_inflight().require_at_most_one_leader();

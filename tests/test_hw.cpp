@@ -87,8 +87,7 @@ struct Fixture {
     explicit Fixture(Graph graph, ModelParams params = ModelParams::fast_network(),
                      NetworkConfig cfg = {})
         : g(std::move(graph)), metrics(g.node_count()), net(sim, g, params, metrics, cfg) {
-        for (NodeId u = 0; u < g.node_count(); ++u)
-            net.set_ncu_sink(u, [this, u](const Delivery& d) { inbox[u].push_back(d); });
+        net.set_ncu_dispatch([this](NodeId u, const Delivery& d) { inbox[u].push_back(d); });
         inbox.resize(g.node_count());
     }
     sim::Simulator sim;

@@ -24,8 +24,7 @@ struct Fixture {
         : g(std::move(graph)), metrics(g.node_count()),
           net(sim, g, ModelParams::fast_network(), metrics, cfg) {
         inbox.resize(g.node_count());
-        for (NodeId u = 0; u < g.node_count(); ++u)
-            net.set_ncu_sink(u, [this, u](const Delivery& d) { inbox[u].push_back(d); });
+        net.set_ncu_dispatch([this](NodeId u, const Delivery& d) { inbox[u].push_back(d); });
     }
     sim::Simulator sim;
     graph::Graph g;
@@ -165,8 +164,7 @@ TEST_P(HwFaultProperty, FlapDropsThePacketInFlightOnTheFlappedLink) {
         cost::Metrics m(6);
         Network net(sim, g, p, m);
         std::vector<Delivery> inbox;
-        for (NodeId u = 0; u < 6; ++u)
-            net.set_ncu_sink(u, [&inbox](const Delivery& d) { inbox.push_back(d); });
+        net.set_ncu_dispatch([&inbox](NodeId, const Delivery& d) { inbox.push_back(d); });
         const std::size_t hop = rng.below(5);  // kill the packet on this hop
         const EdgeId e = g.find_edge(static_cast<NodeId>(hop), static_cast<NodeId>(hop + 1));
         const bool restore = rng.chance(1, 2);

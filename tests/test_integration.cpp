@@ -19,7 +19,7 @@ TEST(Integration, ElectionYieldsABroadcastReadySpanningTree) {
     const graph::Graph g = graph::make_random_connected(48, 2, 10, rng);
 
     // Phase 1: election.
-    node::Cluster c(g, [](NodeId) { return std::make_unique<elect::ElectionProtocol>(); });
+    node::ParallelCluster c(g, [](NodeId) { return std::make_unique<elect::ElectionProtocol>(); });
     c.start_all(0);
     c.run();
     NodeId leader = kNoNode;
@@ -50,7 +50,7 @@ TEST(Integration, LearnedTopologySupportsSourceRouting) {
 
     topo::TopologyOptions opt;
     opt.rounds = 8;
-    node::Cluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
+    node::ParallelCluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
     c.start_all(0);
     c.run();
     ASSERT_TRUE(topo::all_views_converged(c));
@@ -75,18 +75,31 @@ TEST(Integration, LearnedTopologySupportsSourceRouting) {
     };
     const hw::AnrHeader route = hw::route_for_path(path, learned_ports);
 
-    // Inject it on the real fabric and confirm single-system-call delivery.
-    c.metrics().reset();
+    // Send it on a fresh fabric of the same graph and confirm
+    // single-system-call delivery.
     struct Probe final : hw::TypedPayload<Probe> {};
+    struct RouteProbe final : node::Protocol {
+        RouteProbe(const hw::AnrHeader* route, bool* delivered)
+            : route(route), delivered(delivered) {}
+        void on_start(node::Context& ctx) override {
+            ctx.send(*route, std::make_shared<Probe>());
+        }
+        void on_message(node::Context&, const hw::Delivery& d) override {
+            *delivered = hw::payload_as<Probe>(d) != nullptr;
+        }
+        const hw::AnrHeader* route;
+        bool* delivered;
+    };
     bool delivered = false;
-    c.network().set_ncu_sink(far, [&delivered](const hw::Delivery& d) {
-        delivered = hw::payload_as<Probe>(d) != nullptr;
+    node::ParallelCluster probe(g, [&route, &delivered](NodeId) {
+        return std::make_unique<RouteProbe>(&route, &delivered);
     });
-    c.network().send(0, route, std::make_shared<Probe>());
-    c.run();
+    probe.start(0, 0);
+    probe.run();
     EXPECT_TRUE(delivered);
-    EXPECT_EQ(c.metrics().net().ncu_deliveries, 1u);
-    EXPECT_EQ(c.metrics().net().hops, bfs.dist[far]);
+    const cost::Metrics m = probe.merged_metrics();
+    EXPECT_EQ(m.net().ncu_deliveries, 1u);
+    EXPECT_EQ(m.net().hops, bfs.dist[far]);
 }
 
 TEST(Integration, LeaderOrchestratesOptimalGather) {
@@ -95,7 +108,7 @@ TEST(Integration, LeaderOrchestratesOptimalGather) {
     // (C, P) and the cluster executes it.
     const NodeId n = 32;
     const Tick C = 2, P = 1;
-    node::ClusterConfig ecfg;
+    node::ParallelClusterConfig ecfg;
     ecfg.params.hop_delay = C;
     ecfg.params.ncu_delay = P;
     const auto election = elect::run_election(graph::make_complete(n), {}, {}, ecfg);
@@ -122,19 +135,17 @@ TEST(Integration, MaintenanceThenElectionOnSurvivingComponent) {
     topo::TopologyOptions opt;
     opt.rounds = 12;
     opt.period = 32;
-    node::Cluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
+    node::ParallelCluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
     c.start_all(0);
-    c.simulator().at(40, [&c, &g] {
-        c.network().fail_link(g.find_edge(0, 1));
-        c.network().fail_link(g.find_edge(6, 7));
-    });
+    c.fail_link(40, g.find_edge(0, 1));
+    c.fail_link(40, g.find_edge(6, 7));
     c.run();
     ASSERT_TRUE(topo::all_views_converged(c));
 
     // Fresh cluster with the same failure pattern, running the election.
-    node::Cluster e(g, [](NodeId) { return std::make_unique<elect::ElectionProtocol>(); });
-    e.network().fail_link(g.find_edge(0, 1));
-    e.network().fail_link(g.find_edge(6, 7));
+    node::ParallelCluster e(g, [](NodeId) { return std::make_unique<elect::ElectionProtocol>(); });
+    e.fail_link(0, g.find_edge(0, 1));
+    e.fail_link(0, g.find_edge(6, 7));
     e.start_all(1);
     e.run();
     int leaders = 0;

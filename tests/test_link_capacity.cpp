@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 #include "topo/broadcast_protocols.hpp"
 #include "topo/lower_bound.hpp"
 
@@ -14,7 +14,7 @@ namespace fastnet::topo {
 namespace {
 
 BroadcastOutcome run_spaced(const graph::Graph& g, BroadcastScheme scheme, Tick spacing) {
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.net.link_spacing = spacing;
     return run_broadcast(g, scheme, 0, cfg);
 }
@@ -69,7 +69,7 @@ TEST(LinkCapacity, SpacedBroadcastRespectsLowerBoundShape) {
 }
 
 TEST(LinkCapacity, FifoStillHoldsUnderSpacing) {
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.net.link_spacing = 3;
     const graph::Graph g = graph::make_path(2);
     const auto out = run_broadcast(g, BroadcastScheme::kBranchingPaths, 0, cfg);

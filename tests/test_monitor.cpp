@@ -1,7 +1,7 @@
 // Live invariant monitors (src/obs/monitor.hpp): unit-level checks of
 // each built-in monitor via manual event dispatch, the violation
 // bookkeeping (storage cap, first-violation trace record), and the
-// integration path — a hub attached to a real Cluster run stays clean on
+// integration path — a hub attached to a real ParallelCluster run stays clean on
 // healthy workloads and trips deterministically on a rigged one.
 #include <gtest/gtest.h>
 
@@ -174,18 +174,39 @@ TEST(Monitor, PhaseBudgetCountsOnlyItsPhaseAndReportsOnce) {
 
 // ---- integration: a hub riding a real simulation -------------------------
 
+/// One broadcast of `scheme` from `origin`, run to quiescence; the
+/// cluster is kept so its hubs and trace can be read.
+std::unique_ptr<node::ParallelCluster> run_broadcast_cluster(const graph::Graph& g,
+                                                             topo::BroadcastScheme scheme,
+                                                             NodeId origin,
+                                                             node::ParallelClusterConfig cfg) {
+    auto c = std::make_unique<node::ParallelCluster>(
+        g,
+        [&g, scheme](NodeId) { return std::make_unique<topo::BroadcastProtocol>(g, scheme); },
+        cfg);
+    c->start(origin, 0);
+    c->run();
+    return c;
+}
+
+bool all_received(node::ParallelCluster& c) {
+    for (NodeId u = 0; u < c.node_count(); ++u)
+        if (!c.protocol_as<topo::BroadcastProtocol>(u).received()) return false;
+    return true;
+}
+
 TEST(Monitor, StandardMonitorsStayCleanOnRealBroadcasts) {
     Rng rng(17);
     const graph::Graph g = graph::make_random_connected(40, 1, 15, rng);
     for (auto scheme : {topo::BroadcastScheme::kBranchingPaths,
                         topo::BroadcastScheme::kFlooding}) {
-        node::ClusterConfig cfg;
-        cfg.monitors = std::make_shared<MonitorHub>();
-        add_standard_monitors(*cfg.monitors);
-        const auto out = topo::run_broadcast(g, scheme, 0, cfg);
-        ASSERT_TRUE(out.all_received);
-        EXPECT_TRUE(cfg.monitors->ok())
-            << violations_json(*cfg.monitors, topo::scheme_name(scheme));
+        node::ParallelClusterConfig cfg;
+        cfg.monitor_setup = [](MonitorHub& hub) { add_standard_monitors(hub); };
+        const auto c = run_broadcast_cluster(g, scheme, 0, cfg);
+        ASSERT_TRUE(all_received(*c));
+        EXPECT_TRUE(c->monitors_ok())
+            << violations_json(c->monitor_count(), c->violation_count(),
+                               c->merged_violations(), topo::scheme_name(scheme));
     }
 }
 
@@ -194,16 +215,17 @@ TEST(Monitor, RiggedCeilingTripsOnARealRunAndHitsTheTrace) {
     // trip, and the first violating event must land in the trace with
     // the kViolation kind.
     const graph::Graph g = graph::make_star(24);
-    node::ClusterConfig cfg;
-    cfg.monitors = std::make_shared<MonitorHub>();
-    cfg.monitors->add(std::make_unique<QueueDepthMonitor>(0));
-    cfg.trace = std::make_shared<sim::Trace>(std::size_t{1} << 12);
-    const auto out = topo::run_broadcast(g, topo::BroadcastScheme::kFlooding, 1, cfg);
-    ASSERT_TRUE(out.all_received);
-    EXPECT_FALSE(cfg.monitors->ok());
+    node::ParallelClusterConfig cfg;
+    cfg.monitor_setup = [](MonitorHub& hub) {
+        hub.add(std::make_unique<QueueDepthMonitor>(0));
+    };
+    cfg.trace_capacity = std::size_t{1} << 12;
+    const auto c = run_broadcast_cluster(g, topo::BroadcastScheme::kFlooding, 1, cfg);
+    ASSERT_TRUE(all_received(*c));
+    EXPECT_FALSE(c->monitors_ok());
 
     bool saw_violation_record = false;
-    for (const sim::TraceRecord& r : cfg.trace->snapshot())
+    for (const sim::TraceRecord& r : c->merged_trace())
         if (r.kind == sim::TraceKind::kViolation) {
             saw_violation_record = true;
             EXPECT_EQ(r.detail.rfind("queue_depth: ", 0), 0u) << r.detail;

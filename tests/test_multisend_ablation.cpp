@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 
 namespace fastnet::node {
 namespace {
@@ -45,9 +45,9 @@ ProtocolFactory fan_factory(int count) {
 }
 
 TEST(MultisendAblation, SerializedSendsLeaveStaggered) {
-    ClusterConfig cfg;
+    ParallelClusterConfig cfg;
     cfg.free_multisend = false;
-    Cluster c(graph::make_path(2), fan_factory(4), cfg);
+    ParallelCluster c(graph::make_path(2), fan_factory(4), cfg);
     c.start(0, 0);
     c.run();
     auto& sink = c.protocol_as<Sink>(1);
@@ -63,7 +63,7 @@ TEST(MultisendAblation, SerializedSendsLeaveStaggered) {
 }
 
 TEST(MultisendAblation, FreeModeAllLeaveTogether) {
-    Cluster c(graph::make_path(2), fan_factory(4));
+    ParallelCluster c(graph::make_path(2), fan_factory(4));
     c.start(0, 0);
     c.run();
     auto& sink = c.protocol_as<Sink>(1);
@@ -72,15 +72,15 @@ TEST(MultisendAblation, FreeModeAllLeaveTogether) {
     EXPECT_EQ(sink.arrivals[0].first, 2);
     EXPECT_EQ(sink.arrivals[3].first, 5);
     // The *sender* worked once either way.
-    EXPECT_EQ(c.metrics().node(0).invocations(), 1u);
+    EXPECT_EQ(c.merged_metrics().node(0).invocations(), 1u);
 }
 
 TEST(MultisendAblation, SerializedSenderStaysBusy) {
     // With sends serialized, a second work item at the sender must wait
     // for the send train to finish.
-    ClusterConfig cfg;
+    ParallelClusterConfig cfg;
     cfg.free_multisend = false;
-    Cluster c(graph::make_path(2), fan_factory(5), cfg);
+    ParallelCluster c(graph::make_path(2), fan_factory(5), cfg);
     c.start(0, 0);   // handler at 1, sends until 1 + 4*P = 5
     c.start(0, 2);   // queued behind the busy NCU
     c.run();
@@ -89,16 +89,16 @@ TEST(MultisendAblation, SerializedSenderStaysBusy) {
     auto& sink = c.protocol_as<Sink>(1);
     ASSERT_EQ(sink.arrivals.size(), 10u);
     EXPECT_GE(sink.arrivals[5].first, 6);
-    EXPECT_EQ(c.metrics().node(0).busy_time, 2 + 2 * 4);  // 2 starts + 2 trains
+    EXPECT_EQ(c.merged_metrics().node(0).busy_time, 2 + 2 * 4);  // 2 starts + 2 trains
 }
 
 TEST(MultisendAblation, SingleSendCostsNothingExtra) {
-    ClusterConfig cfg;
+    ParallelClusterConfig cfg;
     cfg.free_multisend = false;
-    Cluster c(graph::make_path(2), fan_factory(1), cfg);
+    ParallelCluster c(graph::make_path(2), fan_factory(1), cfg);
     c.start(0, 0);
     c.run();
-    EXPECT_EQ(c.metrics().node(0).busy_time, 1);
+    EXPECT_EQ(c.merged_metrics().node(0).busy_time, 1);
     auto& sink = c.protocol_as<Sink>(1);
     ASSERT_EQ(sink.arrivals.size(), 1u);
     EXPECT_EQ(sink.arrivals[0].first, 2);

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 #include "node/scenario.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics_export.hpp"
@@ -229,9 +229,9 @@ TEST(Causal, ChaosDropDiagnosedFromExportedJsonAlone) {
     // failed link. Everything below the export line uses only the JSON
     // text, never the live cluster — the acceptance bar for the trace
     // being a self-sufficient diagnostic artifact.
-    node::ClusterConfig cfg;
-    cfg.trace = std::make_shared<sim::Trace>(1024);
-    node::Cluster cluster(
+    node::ParallelClusterConfig cfg;
+    cfg.trace_capacity = 1024;
+    node::ParallelCluster cluster(
         graph::make_path(3), [](NodeId) { return std::make_unique<Relay>(); }, cfg);
 
     EdgeId broken = kNoEdge;
@@ -240,12 +240,13 @@ TEST(Causal, ChaosDropDiagnosedFromExportedJsonAlone) {
         if (ed.a == 1 && ed.b == 2) broken = e;
     }
     ASSERT_NE(broken, kNoEdge);
-    cluster.network().fail_link(broken);
+    cluster.fail_link(0, broken);
     cluster.start(0, 0);
     cluster.run();
 
-    const std::string json =
-        canonical_trace_json(*cluster.trace(), make_meta(cluster.graph(), "chaos"));
+    const std::string json = canonical_trace_json(
+        cluster.merged_trace(), make_meta(cluster.graph(), "chaos"),
+        cluster.trace_total_recorded(), cluster.trace_dropped(), cluster.trace_detail_dropped());
 
     // ---- offline: JSON text in, diagnosis out --------------------------
     LoadedTrace loaded;
@@ -287,15 +288,15 @@ TEST(Causal, ChaosDropDiagnosedFromExportedJsonAlone) {
 }
 
 TEST(Causal, DuplicateInheritsLineage) {
-    node::ClusterConfig cfg;
-    cfg.trace = std::make_shared<sim::Trace>(1024);
+    node::ParallelClusterConfig cfg;
+    cfg.trace_capacity = 1024;
     cfg.net.dup_ppm = 1'000'000;  // every transmission duplicates
-    node::Cluster cluster(
+    node::ParallelCluster cluster(
         graph::make_path(2), [](NodeId) { return std::make_unique<Relay>(); }, cfg);
     cluster.start(0, 0);
     cluster.run();
 
-    const auto records = cluster.trace()->snapshot();
+    const auto records = cluster.merged_trace();
     const auto dups = filter_records(records, {.kind = TraceKind::kDup});
     ASSERT_FALSE(dups.empty());
     const auto sends = filter_records(records, {.kind = TraceKind::kSend});
@@ -313,18 +314,22 @@ TEST(Causal, DuplicateInheritsLineage) {
 TEST(Causal, ClusterChromeExportIsSchemaValid) {
     // The acceptance criterion checked against a *real* cluster run with
     // crash churn, not just the hand-built sample trace.
-    node::ClusterConfig cfg;
-    cfg.trace = std::make_shared<sim::Trace>(4096);
-    node::Cluster cluster(
+    node::ParallelClusterConfig cfg;
+    cfg.trace_capacity = 4096;
+    node::ParallelCluster cluster(
         graph::make_path(4), [](NodeId) { return std::make_unique<Relay>(); }, cfg);
     cluster.start(0, 0);
-    node::Scenario().crash_node(2, 3).restart_node(6, 3).apply(cluster);
+    cluster.schedule(node::Scenario().crash_node(2, 3).restart_node(6, 3));
     cluster.run();
 
     const ExportMeta meta = make_meta(cluster.graph(), "chrome/cluster");
+    const std::vector<TraceRecord> records = cluster.merged_trace();
     std::string err;
-    EXPECT_TRUE(check_chrome(chrome_trace_json(*cluster.trace(), meta), &err)) << err;
-    EXPECT_TRUE(check_canonical(canonical_trace_json(*cluster.trace(), meta), &err))
+    EXPECT_TRUE(check_chrome(chrome_trace_json(records, meta), &err)) << err;
+    EXPECT_TRUE(check_canonical(
+        canonical_trace_json(records, meta, cluster.trace_total_recorded(),
+                             cluster.trace_dropped(), cluster.trace_detail_dropped()),
+        &err))
         << err;
 }
 
@@ -399,15 +404,15 @@ TEST(Query, UnrestartedCrashHasOpenEpisode) {
 // ---- metrics export ----------------------------------------------------
 
 TEST(MetricsExport, SampledRunProducesValidJson) {
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.sample_window = 2;
-    node::Cluster cluster(
+    node::ParallelCluster cluster(
         graph::make_path(4), [](NodeId) { return std::make_unique<Relay>(); }, cfg);
     cluster.mark_phase(0, 1);
     cluster.start(0, 0);
     cluster.run();
 
-    const std::string json = metrics_json(cluster.metrics(), "sampled/run");
+    const std::string json = metrics_json(cluster.merged_metrics(), "sampled/run");
     JsonValue doc;
     std::string err;
     ASSERT_TRUE(json_parse(json, doc, &err)) << err << "\n" << json;
@@ -428,13 +433,14 @@ TEST(MetricsExport, SampledRunProducesValidJson) {
 }
 
 TEST(MetricsExport, UnsampledRunSerializesNullBlock) {
-    node::Cluster cluster(
+    node::ParallelCluster cluster(
         graph::make_path(2), [](NodeId) { return std::make_unique<Relay>(); });
     cluster.start(0, 0);
     cluster.run();
     JsonValue doc;
     std::string err;
-    ASSERT_TRUE(json_parse(metrics_json(cluster.metrics(), "plain"), doc, &err)) << err;
+    ASSERT_TRUE(json_parse(metrics_json(cluster.merged_metrics(), "plain"), doc, &err))
+        << err;
     const JsonValue* sampling = doc.find("sampling");
     ASSERT_NE(sampling, nullptr);
     EXPECT_EQ(sampling->type, JsonValue::Type::kNull);

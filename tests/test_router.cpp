@@ -26,7 +26,7 @@ struct Harness {
     }
     RouterProtocol& router(NodeId u) { return cluster.protocol_as<RouterProtocol>(u); }
     Graph g;
-    node::Cluster cluster;
+    node::ParallelCluster cluster;
 };
 
 TEST(Router, DeliversAfterConvergence) {
@@ -79,8 +79,8 @@ TEST(Router, RetriesAcrossLinkFailure) {
     opt.retry_period = 120;
     Harness h(graph::make_path(4), {{0, {{/*at=*/600, 3, 42}}}}, opt);
     // Break (1,2) before the send; repair later.
-    h.cluster.simulator().at(500, [&h] { h.cluster.network().fail_link(1); });
-    h.cluster.simulator().at(800, [&h] { h.cluster.network().restore_link(1); });
+    h.cluster.fail_link(500, 1);
+    h.cluster.restore_link(800, 1);
     h.cluster.run();
     ASSERT_EQ(h.router(3).received().size(), 1u);
     EXPECT_EQ(h.router(0).delivered_and_acked(), 1u);
@@ -94,10 +94,8 @@ TEST(Router, ReroutesAroundPermanentFailure) {
     opt.topology.rounds = 30;
     opt.retry_period = 150;
     Harness h(graph::make_cycle(8), {{0, {{/*at=*/600, 4, 5}}}}, opt);
-    h.cluster.simulator().at(590, [&h] {
-        // Kill the clockwise route's first link just before the send.
-        h.cluster.network().fail_link(h.g.find_edge(0, 1));
-    });
+    // Kill the clockwise route's first link just before the send.
+    h.cluster.fail_link(590, h.g.find_edge(0, 1));
     h.cluster.run();
     ASSERT_EQ(h.router(4).received().size(), 1u);
     EXPECT_EQ(h.router(0).given_up(), 0u);
@@ -124,11 +122,11 @@ TEST(Router, DuplicateRetriesAreFilteredAtTheReceiver) {
     RouterOptions opt = Harness::make_default_options();
     opt.retry_period = 2;    // retries fire long before the ack round-trip
     opt.max_retries = 1000;  // ...but the sender must not give up early
-    node::ClusterConfig cfg;
+    node::ParallelClusterConfig cfg;
     cfg.params.hop_delay = 40;  // C = 40: several retries race the ack
     const Graph g = graph::make_path(3);
     std::map<NodeId, std::vector<SendRequest>> sends{{0, {{300, 2, 9}}}};
-    node::Cluster cluster(g, make_routers(3, opt, std::move(sends)), cfg);
+    node::ParallelCluster cluster(g, make_routers(3, opt, std::move(sends)), cfg);
     cluster.start_all(0);
     cluster.run();
     auto& receiver = cluster.protocol_as<RouterProtocol>(2);
@@ -144,7 +142,7 @@ TEST(Router, EmbeddedMaintenanceStillConverges) {
     Harness h(graph::make_cycle(10), {});
     h.cluster.run();
     for (NodeId u = 0; u < 10; ++u)
-        EXPECT_TRUE(view_converged(h.router(u).topology(), h.cluster.network(), u)) << u;
+        EXPECT_TRUE(view_converged(h.router(u).topology(), h.cluster.mirror(0), u)) << u;
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Tests for the NCU runtime: serial processing, P accounting, timers,
-// link notifications and the Cluster assembly.
+// link notifications and the cluster assembly.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 
 namespace fastnet::node {
 namespace {
@@ -44,13 +44,13 @@ ProtocolFactory recorder_factory() {
 }
 
 TEST(Runtime, StartCostsOneNcuDelay) {
-    node::Cluster c(graph::make_path(2), recorder_factory());
+    node::ParallelCluster c(graph::make_path(2), recorder_factory());
     c.start(0, 0);
     c.run();
     auto& r = c.protocol_as<Recorder>(0);
     ASSERT_EQ(r.start_times.size(), 1u);
     EXPECT_EQ(r.start_times[0], 1);  // P = 1: handler completes at t+P
-    EXPECT_EQ(c.metrics().node(0).starts, 1u);
+    EXPECT_EQ(c.merged_metrics().node(0).starts, 1u);
 }
 
 /// Sends one direct message to the other node on start.
@@ -68,7 +68,7 @@ public:
 TEST(Runtime, MessageDeliveryTimingFastModel) {
     // C=0, P=1: start processed at 1, message sent at 1, arrives at 1,
     // receiver handler completes at 2.
-    node::Cluster c(graph::make_path(2),
+    node::ParallelCluster c(graph::make_path(2),
                     [](NodeId) { return std::make_unique<Pinger>(); });
     c.start(0, 0);
     c.run();
@@ -76,15 +76,15 @@ TEST(Runtime, MessageDeliveryTimingFastModel) {
     ASSERT_EQ(r.message_times.size(), 1u);
     EXPECT_EQ(r.message_times[0], 2);
     EXPECT_EQ(r.values[0], 7);
-    EXPECT_EQ(c.metrics().node(1).message_deliveries, 1u);
-    EXPECT_EQ(c.metrics().total_message_system_calls(), 1u);
-    EXPECT_EQ(c.metrics().total_direct_messages(), 1u);
+    EXPECT_EQ(c.merged_metrics().node(1).message_deliveries, 1u);
+    EXPECT_EQ(c.merged_metrics().total_message_system_calls(), 1u);
+    EXPECT_EQ(c.merged_metrics().total_direct_messages(), 1u);
 }
 
 TEST(Runtime, MessageDeliveryTimingWithHardwareDelay) {
-    ClusterConfig cfg;
+    ParallelClusterConfig cfg;
     cfg.params.hop_delay = 5;  // C=5, P=1
-    node::Cluster c(graph::make_path(2),
+    node::ParallelCluster c(graph::make_path(2),
                     [](NodeId) { return std::make_unique<Pinger>(); }, cfg);
     c.start(0, 0);
     c.run();
@@ -112,7 +112,7 @@ private:
 TEST(Runtime, NcuSerializesDeliveries) {
     // Five messages arrive together at t=1; the single NCU processes them
     // one per P, finishing at 2,3,4,5,6 — and in FIFO order.
-    node::Cluster c(graph::make_path(2), [](NodeId u) -> std::unique_ptr<Protocol> {
+    node::ParallelCluster c(graph::make_path(2), [](NodeId u) -> std::unique_ptr<Protocol> {
         if (u == 0) return std::make_unique<Burster>(5);
         return std::make_unique<Recorder>();
     });
@@ -122,32 +122,43 @@ TEST(Runtime, NcuSerializesDeliveries) {
     ASSERT_EQ(r.message_times.size(), 5u);
     EXPECT_EQ(r.message_times, (std::vector<Tick>{2, 3, 4, 5, 6}));
     EXPECT_EQ(r.values, (std::vector<int>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(c.metrics().node(1).busy_time, 5);
+    EXPECT_EQ(c.merged_metrics().node(1).busy_time, 5);
 }
 
 TEST(Runtime, MultiSendInOneSystemCallCostsOneInvocation) {
-    node::Cluster c(graph::make_path(2), [](NodeId u) -> std::unique_ptr<Protocol> {
+    node::ParallelCluster c(graph::make_path(2), [](NodeId u) -> std::unique_ptr<Protocol> {
         if (u == 0) return std::make_unique<Burster>(8);
         return std::make_unique<Recorder>();
     });
     c.start(0, 0);
     c.run();
     // The model's free multicast: 8 sends, but node 0 was involved once.
-    EXPECT_EQ(c.metrics().node(0).invocations(), 1u);
-    EXPECT_EQ(c.metrics().node(0).sends, 8u);
+    EXPECT_EQ(c.merged_metrics().node(0).invocations(), 1u);
+    EXPECT_EQ(c.merged_metrics().node(0).sends, 8u);
 }
 
+/// Sends one Note along a fixed source route on start.
+class RouteSender : public Recorder {
+public:
+    explicit RouteSender(hw::AnrHeader route) : route_(std::move(route)) {}
+    void on_start(Context& ctx) override { ctx.send(route_, std::make_shared<Note>(1)); }
+
+private:
+    hw::AnrHeader route_;
+};
+
 TEST(Runtime, ReplyUsesReverseRoute) {
-    node::Cluster c(graph::make_path(3), [](NodeId u) -> std::unique_ptr<Protocol> {
+    const graph::Graph g = graph::make_path(3);
+    const std::vector<NodeId> path{0, 1, 2};
+    const hw::AnrHeader route = hw::route_for_path(path, hw::canonical_ports(g));
+    node::ParallelCluster c(g, [&route](NodeId u) -> std::unique_ptr<Protocol> {
+        if (u == 0) return std::make_unique<RouteSender>(route);
         auto r = std::make_unique<Recorder>();
         if (u == 2) r->reply_value = 42;
         return r;
     });
-    // Node 0 sends 0->1->2 manually.
-    c.simulator().at(0, [&c] {
-        const std::vector<NodeId> path{0, 1, 2};
-        c.network().send(0, c.network().route(path), std::make_shared<Note>(1));
-    });
+    // Node 0 sends 0->1->2.
+    c.start(0, 0);
     c.run();
     auto& r0 = c.protocol_as<Recorder>(0);
     ASSERT_EQ(r0.values.size(), 1u);
@@ -167,7 +178,7 @@ private:
 };
 
 TEST(Runtime, TimersFireAndCancel) {
-    node::Cluster c(graph::make_path(2),
+    node::ParallelCluster c(graph::make_path(2),
                     [](NodeId) { return std::make_unique<TimerUser>(); });
     c.start(0, 0);
     c.run();
@@ -175,12 +186,12 @@ TEST(Runtime, TimersFireAndCancel) {
     ASSERT_EQ(r.timer_cookies.size(), 1u);
     EXPECT_EQ(r.timer_cookies[0].second, 100u);
     EXPECT_EQ(r.timer_cookies[0].first, 1 + 10 + 1);  // set at 1, fires 11, P=1
-    EXPECT_EQ(c.metrics().node(0).timer_fires, 1u);
+    EXPECT_EQ(c.merged_metrics().node(0).timer_fires, 1u);
 }
 
 TEST(Runtime, LinkStateChangeInvokesHandlerOnBothEndpoints) {
-    node::Cluster c(graph::make_path(3), recorder_factory());
-    c.simulator().at(5, [&c] { c.network().fail_link(0); });
+    node::ParallelCluster c(graph::make_path(3), recorder_factory());
+    c.fail_link(5, 0);
     c.run();
     auto& r0 = c.protocol_as<Recorder>(0);
     auto& r1 = c.protocol_as<Recorder>(1);
@@ -189,12 +200,12 @@ TEST(Runtime, LinkStateChangeInvokesHandlerOnBothEndpoints) {
     ASSERT_EQ(r1.link_events.size(), 1u);
     EXPECT_TRUE(r2.link_events.empty());
     EXPECT_FALSE(std::get<2>(r0.link_events[0]));
-    EXPECT_EQ(c.metrics().node(0).link_events, 1u);
+    EXPECT_EQ(c.merged_metrics().node(0).link_events, 1u);
 }
 
 TEST(Runtime, LocalLinkViewTracksActivity) {
-    node::Cluster c(graph::make_path(2), recorder_factory());
-    c.simulator().at(1, [&c] { c.network().fail_link(0); });
+    node::ParallelCluster c(graph::make_path(2), recorder_factory());
+    c.fail_link(1, 0);
     c.run();
     // After processing the notification the protocol's view is updated.
     struct Probe : Protocol {};
@@ -205,11 +216,11 @@ TEST(Runtime, LocalLinkViewTracksActivity) {
 }
 
 TEST(Runtime, NcuDelayJitterStaysWithinBounds) {
-    ClusterConfig cfg;
+    ParallelClusterConfig cfg;
     cfg.params.ncu_delay = 9;
     cfg.ncu_delay_min = 3;
     cfg.seed = 17;
-    node::Cluster c(graph::make_path(2),
+    node::ParallelCluster c(graph::make_path(2),
                     [](NodeId) { return std::make_unique<Pinger>(); }, cfg);
     c.start(0, 0);
     c.run();
@@ -221,7 +232,7 @@ TEST(Runtime, NcuDelayJitterStaysWithinBounds) {
 }
 
 TEST(Cluster, QuiescentAfterRun) {
-    node::Cluster c(graph::make_path(3), recorder_factory());
+    node::ParallelCluster c(graph::make_path(3), recorder_factory());
     c.start_all(0);
     EXPECT_FALSE(c.quiescent());
     c.run();
@@ -230,15 +241,15 @@ TEST(Cluster, QuiescentAfterRun) {
 
 TEST(Cluster, DeterministicAcrossIdenticalRuns) {
     auto run_once = [] {
-        ClusterConfig cfg;
+        ParallelClusterConfig cfg;
         cfg.seed = 99;
-        node::Cluster c(graph::make_complete(5), [](NodeId u) -> std::unique_ptr<Protocol> {
+        node::ParallelCluster c(graph::make_complete(5), [](NodeId u) -> std::unique_ptr<Protocol> {
             if (u == 0) return std::make_unique<Burster>(4);
             return std::make_unique<Recorder>();
         }, cfg);
         c.start_all(0);
         c.run();
-        return c.metrics().total_invocations();
+        return c.merged_metrics().total_invocations();
     };
     EXPECT_EQ(run_once(), run_once());
 }

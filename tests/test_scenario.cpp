@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "node/parallel_cluster.hpp"
 #include "node/scenario.hpp"
 #include "topo/topology_maintenance.hpp"
 
@@ -20,26 +21,26 @@ TEST(Scenario, BuilderAccumulatesActions) {
 }
 
 TEST(Scenario, ApplyDrivesTheNetwork) {
-    Cluster c(graph::make_path(3), [](NodeId) { return std::make_unique<Idle>(); });
+    ParallelCluster c(graph::make_path(3), [](NodeId) { return std::make_unique<Idle>(); });
     Scenario s;
     s.fail_link(5, 0).restore_link(9, 0).fail_node(12, 2);
-    s.apply(c);
+    c.schedule(s);
     c.run_until(6);
-    EXPECT_FALSE(c.network().link_active(0));
+    EXPECT_FALSE(c.mirror(0).link_active(0));
     c.run_until(10);
-    EXPECT_TRUE(c.network().link_active(0));
+    EXPECT_TRUE(c.mirror(0).link_active(0));
     c.run();
-    EXPECT_FALSE(c.network().link_active(1));  // node 2's only link
+    EXPECT_FALSE(c.mirror(0).link_active(1));  // node 2's only link
 }
 
 TEST(Scenario, StartActionStartsProtocols) {
-    Cluster c(graph::make_path(2), [](NodeId) { return std::make_unique<Idle>(); });
+    ParallelCluster c(graph::make_path(2), [](NodeId) { return std::make_unique<Idle>(); });
     Scenario s;
     s.start(4, 0).start(7, 1);
-    s.apply(c);
+    c.schedule(s);
     c.run();
-    EXPECT_EQ(c.metrics().node(0).starts, 1u);
-    EXPECT_EQ(c.metrics().node(1).starts, 1u);
+    EXPECT_EQ(c.merged_metrics().node(0).starts, 1u);
+    EXPECT_EQ(c.merged_metrics().node(1).starts, 1u);
 }
 
 TEST(Scenario, RandomChurnRespectsProtectedEdges) {
@@ -103,18 +104,18 @@ TEST(Scenario, RandomChurnSameSeedSameActions) {
 
 TEST(Scenario, RandomChurnHealedLeavesEveryLinkActive) {
     // The property heal_all guarantees, checked against the network truth
-    // (not just the action list): after apply + run, every link is up,
+    // (not just the action list): after schedule + run, every link is up,
     // protected links included (they were never touched at all).
     const graph::Graph g = graph::make_cycle(10);
     const std::vector<EdgeId> protect{0, 4};
     Rng chaos(91);
     Scenario s = Scenario::random_churn(g, 30, 10, 400, chaos, protect);
     s.heal_all(450);
-    Cluster c(g, [](NodeId) { return std::make_unique<Idle>(); });
-    s.apply(c);
+    ParallelCluster c(g, [](NodeId) { return std::make_unique<Idle>(); });
+    c.schedule(s);
     c.run();
     for (EdgeId e = 0; e < g.edge_count(); ++e)
-        EXPECT_TRUE(c.network().link_active(e)) << "edge " << e;
+        EXPECT_TRUE(c.mirror(0).link_active(e)) << "edge " << e;
 }
 
 TEST(Scenario, HealAllIsIdempotent) {
@@ -236,15 +237,15 @@ TEST(Scenario, NodeChurnHealedLeavesEveryNodeLive) {
     Rng chaos(41);
     Scenario s = Scenario::random_churn(g, spec, chaos);
     s.heal_all(450);
-    Cluster c(g, [](NodeId) { return std::make_unique<Idle>(); });
-    s.apply(c);
+    ParallelCluster c(g, [](NodeId) { return std::make_unique<Idle>(); });
+    c.schedule(s);
     c.run();
     for (NodeId u = 0; u < g.node_count(); ++u) {
         EXPECT_FALSE(c.crashed(u)) << "node " << u;
-        EXPECT_FALSE(c.network().node_failed(u)) << "node " << u;
+        EXPECT_FALSE(c.mirror(0).node_failed(u)) << "node " << u;
     }
     for (EdgeId e = 0; e < g.edge_count(); ++e)
-        EXPECT_TRUE(c.network().link_active(e)) << "edge " << e;
+        EXPECT_TRUE(c.mirror(0).link_active(e)) << "edge " << e;
 }
 
 TEST(Scenario, ChaosChurnThenHealConvergesMaintenance) {
@@ -255,15 +256,15 @@ TEST(Scenario, ChaosChurnThenHealConvergesMaintenance) {
     topo::TopologyOptions opt;
     opt.rounds = 24;
     opt.period = 50;
-    Cluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
+    ParallelCluster c(g, topo::make_topology_maintenance(g.node_count(), opt));
     c.start_all(0);
     Rng chaos(77);
     Scenario s = Scenario::random_churn(g, 25, 20, 550, chaos);
     s.heal_all(600);
-    s.apply(c);
+    c.schedule(s);
     c.run();
     EXPECT_TRUE(topo::all_views_converged(c));
-    for (EdgeId e = 0; e < g.edge_count(); ++e) EXPECT_TRUE(c.network().link_active(e));
+    for (EdgeId e = 0; e < g.edge_count(); ++e) EXPECT_TRUE(c.mirror(0).link_active(e));
 }
 
 }  // namespace

@@ -19,9 +19,9 @@ namespace {
 using graph::Graph;
 using test_util::fnv1a;
 
-node::Cluster make_cluster(const Graph& g, TopologyOptions opt,
-                           node::ClusterConfig cfg = {}) {
-    return node::Cluster(g, make_topology_maintenance(g.node_count(), opt), cfg);
+node::ParallelCluster make_cluster(const Graph& g, TopologyOptions opt,
+                                   node::ParallelClusterConfig cfg = {}) {
+    return node::ParallelCluster(g, make_topology_maintenance(g.node_count(), opt), cfg);
 }
 
 TEST(TopologyMaintenance, StaticNetworkConvergesQuickly) {
@@ -29,7 +29,7 @@ TEST(TopologyMaintenance, StaticNetworkConvergesQuickly) {
     const Graph g = graph::make_random_connected(20, 2, 10, rng);
     TopologyOptions opt;
     opt.rounds = 6;  // O(d) rounds suffice; d is small here
-    node::Cluster c = make_cluster(g, opt);
+    node::ParallelCluster c = make_cluster(g, opt);
     c.start_all(0);
     c.run();
     EXPECT_TRUE(all_views_converged(c));
@@ -39,13 +39,13 @@ TEST(TopologyMaintenance, RingNeedsAboutDiameterRounds) {
     const Graph g = graph::make_cycle(16);  // diameter 8
     TopologyOptions opt;
     opt.rounds = 3;
-    node::Cluster few = make_cluster(g, opt);
+    node::ParallelCluster few = make_cluster(g, opt);
     few.start_all(0);
     few.run();
     EXPECT_FALSE(all_views_converged(few)) << "3 rounds cannot cover diameter 8";
 
     opt.rounds = 10;
-    node::Cluster enough = make_cluster(g, opt);
+    node::ParallelCluster enough = make_cluster(g, opt);
     enough.start_all(0);
     enough.run();
     EXPECT_TRUE(all_views_converged(enough));
@@ -58,7 +58,7 @@ TEST(TopologyMaintenance, FullKnowledgeModeConvergesInLogRounds) {
     TopologyOptions opt;
     opt.full_knowledge = true;
     opt.rounds = 6;  // ~ 1 + log2(16)
-    node::Cluster c = make_cluster(g, opt);
+    node::ParallelCluster c = make_cluster(g, opt);
     c.start_all(0);
     c.run();
     EXPECT_TRUE(all_views_converged(c));
@@ -68,7 +68,7 @@ TEST(TopologyMaintenance, LocalModeSlowerThanFullKnowledgeOnRing) {
     const Graph g = graph::make_cycle(32);
     TopologyOptions local;
     local.rounds = 6;
-    node::Cluster c = make_cluster(g, local);
+    node::ParallelCluster c = make_cluster(g, local);
     c.start_all(0);
     c.run();
     EXPECT_FALSE(all_views_converged(c));
@@ -80,10 +80,10 @@ TEST(TopologyMaintenance, ConvergesAfterSingleFailure) {
     TopologyOptions opt;
     opt.rounds = 12;
     opt.period = 64;
-    node::Cluster c = make_cluster(g, opt);
+    node::ParallelCluster c = make_cluster(g, opt);
     c.start_all(0);
     // Fail one non-cut edge mid-run.
-    c.simulator().at(100, [&c] { c.network().fail_link(2); });
+    c.fail_link(100, 2);
     c.run();
     EXPECT_TRUE(all_views_converged(c));
 }
@@ -95,9 +95,9 @@ TEST(TopologyMaintenance, ConvergesPerComponentAfterPartition) {
     TopologyOptions opt;
     opt.rounds = 10;
     opt.period = 32;
-    node::Cluster c = make_cluster(g, opt);
+    node::ParallelCluster c = make_cluster(g, opt);
     c.start_all(0);
-    c.simulator().at(50, [&c, &g] { c.network().fail_link(g.find_edge(1, 2)); });
+    c.fail_link(50, g.find_edge(1, 2));
     c.run();
     EXPECT_TRUE(all_views_converged(c));
 }
@@ -108,7 +108,7 @@ TEST(TopologyMaintenance, ConvergesUnderFailureBurstThenQuiesce) {
     TopologyOptions opt;
     opt.rounds = 20;
     opt.period = 50;
-    node::Cluster c = make_cluster(g, opt);
+    node::ParallelCluster c = make_cluster(g, opt);
     c.start_all(0);
     // Random fail/restore burst during the first rounds; quiet afterwards.
     Rng chaos(99);
@@ -116,12 +116,10 @@ TEST(TopologyMaintenance, ConvergesUnderFailureBurstThenQuiesce) {
         const Tick at = 20 + static_cast<Tick>(chaos.below(200));
         const EdgeId e = static_cast<EdgeId>(chaos.below(g.edge_count()));
         const bool fail = chaos.chance(1, 2);
-        c.simulator().at(at, [&c, e, fail] {
-            if (fail)
-                c.network().fail_link(e);
-            else
-                c.network().restore_link(e);
-        });
+        if (fail)
+            c.fail_link(at, e);
+        else
+            c.restore_link(at, e);
     }
     c.run();
     EXPECT_TRUE(all_views_converged(c));
@@ -130,26 +128,22 @@ TEST(TopologyMaintenance, ConvergesUnderFailureBurstThenQuiesce) {
 /// Builds the paper's Section 3 deadlock scenario: run the DFS-token (or
 /// other) scheme on the healthy 6-node example until views converge,
 /// then fail all three pendant edges at once and keep broadcasting.
-std::unique_ptr<node::Cluster> run_podc_deadlock_scenario(TopologyOptions opt) {
+std::unique_ptr<node::ParallelCluster> run_podc_deadlock_scenario(TopologyOptions opt) {
     const Graph g = graph::make_podc_example();
     // Each triangle node's tour dives into the *next* triangle node's
     // (dead) pendant branch first — the paper's adversarial path choice.
     opt.dfs_preference = {{1}, {2}, {0}, {}, {}, {}};
     opt.period = 64;
-    auto c = std::make_unique<node::Cluster>(
+    auto c = std::make_unique<node::ParallelCluster>(
         g, make_topology_maintenance(g.node_count(), opt));
     c->start_all(0);
     // Rounds happen roughly every `period`; after four of them the
     // healthy network (diameter 3) has converged. Fail the pendants
     // between rounds.
-    node::Cluster& cl = *c;
-    cl.simulator().at(300, [&cl] {
-        const Graph& cg = cl.graph();
-        cl.network().fail_link(cg.find_edge(0, 3));
-        cl.network().fail_link(cg.find_edge(1, 4));
-        cl.network().fail_link(cg.find_edge(2, 5));
-    });
-    cl.run();
+    c->fail_link(300, g.find_edge(0, 3));
+    c->fail_link(300, g.find_edge(1, 4));
+    c->fail_link(300, g.find_edge(2, 5));
+    c->run();
     return c;
 }
 
@@ -203,12 +197,12 @@ TEST(TopologyMaintenance, SystemCallsPerRoundAreLinear) {
     TopologyOptions opt;
     opt.rounds = 2;
     opt.period = 64;
-    node::Cluster c = make_cluster(g, opt);
+    node::ParallelCluster c = make_cluster(g, opt);
     c.start_all(0);
     c.run();
     const auto n = static_cast<std::uint64_t>(g.node_count());
     const auto m = static_cast<std::uint64_t>(g.edge_count());
-    EXPECT_EQ(c.metrics().total_message_system_calls(), 2 * m + n * (n - 1));
+    EXPECT_EQ(c.merged_metrics().total_message_system_calls(), 2 * m + n * (n - 1));
 }
 
 TEST(TopologyMaintenance, KnowledgeRadiusGrowsOnePerRound) {
@@ -220,7 +214,7 @@ TEST(TopologyMaintenance, KnowledgeRadiusGrowsOnePerRound) {
         TopologyOptions opt;
         opt.rounds = rounds;
         opt.period = 64;
-        node::Cluster c = make_cluster(g, opt);
+        node::ParallelCluster c = make_cluster(g, opt);
         c.start_all(0);
         c.run();
         const auto& p0 = c.protocol_as<TopologyMaintenance>(0);
@@ -238,7 +232,7 @@ TEST(TopologyMaintenance, RouteToUsesLearnedView) {
     const Graph g = graph::make_cycle(10);
     TopologyOptions opt;
     opt.rounds = 8;
-    node::Cluster c = make_cluster(g, opt);
+    node::ParallelCluster c = make_cluster(g, opt);
     c.start_all(0);
     c.run();
     const auto& p = c.protocol_as<TopologyMaintenance>(0);
@@ -253,12 +247,12 @@ TEST(TopologyMaintenance, IsolatedNodeStaysQuietAndSelfConsistent) {
     TopologyOptions opt;
     opt.rounds = 5;
     opt.period = 16;
-    node::Cluster c = make_cluster(g, opt);
-    c.network().fail_node(3);
+    node::ParallelCluster c = make_cluster(g, opt);
+    c.fail_node(0, 3);
     c.start_all(4);
     c.run();
     // Node 3 is its own component and knows its links are down.
-    EXPECT_TRUE(view_converged(c.protocol_as<TopologyMaintenance>(3), c.network(), 3));
+    EXPECT_TRUE(view_converged(c.protocol_as<TopologyMaintenance>(3), c.mirror(0), 3));
     // The rest converge among themselves.
     EXPECT_TRUE(all_views_converged(c));
 }

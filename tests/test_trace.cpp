@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "graph/generators.hpp"
-#include "node/cluster.hpp"
+#include "node/parallel_cluster.hpp"
 #include "sim/trace.hpp"
 #include "topo/broadcast_protocols.hpp"
 
@@ -179,18 +179,17 @@ TEST(Trace, KindNamesRoundTrip) {
 }
 
 TEST(TraceWiring, ClusterRecordsProtocolLifecycle) {
-    auto trace = std::make_shared<Trace>();
-    node::ClusterConfig cfg;
-    cfg.trace = trace;
+    node::ParallelClusterConfig cfg;
+    cfg.trace_capacity = 65536;
     const graph::Graph g = graph::make_path(4);
-    node::Cluster c(g, [&g](NodeId) {
+    node::ParallelCluster c(g, [&g](NodeId) {
         return std::make_unique<topo::BroadcastProtocol>(
             g, topo::BroadcastScheme::kBranchingPaths);
     }, cfg);
     c.start(0, 0);
     c.run();
     unsigned starts = 0, sends = 0, delivers = 0;
-    for (const auto& r : trace->snapshot()) {
+    for (const auto& r : c.merged_trace()) {
         if (r.kind == TraceKind::kStart) ++starts;
         if (r.kind == TraceKind::kSend) ++sends;
         if (r.kind == TraceKind::kDeliver) ++delivers;
@@ -201,19 +200,18 @@ TEST(TraceWiring, ClusterRecordsProtocolLifecycle) {
 }
 
 TEST(TraceWiring, DropsAreRecordedWithReason) {
-    auto trace = std::make_shared<Trace>();
-    node::ClusterConfig cfg;
-    cfg.trace = trace;
+    node::ParallelClusterConfig cfg;
+    cfg.trace_capacity = 65536;
     const graph::Graph g = graph::make_path(3);
-    node::Cluster c(g, [&g](NodeId) {
+    node::ParallelCluster c(g, [&g](NodeId) {
         return std::make_unique<topo::BroadcastProtocol>(
             g, topo::BroadcastScheme::kBranchingPaths);
     }, cfg);
-    c.network().fail_link(1);  // edge (1,2)
+    c.fail_link(0, 1);  // edge (1,2)
     c.start(0, 1);
     c.run();
     bool saw_drop = false;
-    for (const auto& r : trace->snapshot()) {
+    for (const auto& r : c.merged_trace()) {
         if (r.kind != TraceKind::kDrop) continue;
         saw_drop = true;
         EXPECT_NE(static_cast<DropReason>(r.flag), DropReason::kNone);
@@ -223,11 +221,10 @@ TEST(TraceWiring, DropsAreRecordedWithReason) {
 }
 
 TEST(TraceWiring, PhaseMarkerLandsInTrace) {
-    auto trace = std::make_shared<Trace>();
-    node::ClusterConfig cfg;
-    cfg.trace = trace;
+    node::ParallelClusterConfig cfg;
+    cfg.trace_capacity = 65536;
     const graph::Graph g = graph::make_path(3);
-    node::Cluster c(g, [&g](NodeId) {
+    node::ParallelCluster c(g, [&g](NodeId) {
         return std::make_unique<topo::BroadcastProtocol>(
             g, topo::BroadcastScheme::kBranchingPaths);
     }, cfg);
@@ -235,7 +232,7 @@ TEST(TraceWiring, PhaseMarkerLandsInTrace) {
     c.start(0, 0);
     c.run();
     bool saw_phase = false;
-    for (const auto& r : trace->snapshot()) {
+    for (const auto& r : c.merged_trace()) {
         if (r.kind == TraceKind::kPhase) {
             saw_phase = true;
             EXPECT_EQ(r.node, kNoNode);
@@ -244,7 +241,7 @@ TEST(TraceWiring, PhaseMarkerLandsInTrace) {
         }
     }
     EXPECT_TRUE(saw_phase);
-    EXPECT_EQ(c.metrics().phase(), 2u);
+    EXPECT_EQ(c.merged_metrics().phase(), 2u);
 }
 
 }  // namespace
