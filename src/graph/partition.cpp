@@ -14,6 +14,10 @@ Partition partition_bfs(const Graph& g, std::uint32_t shards) {
     p.shard_of.assign(n, 0);
     p.shard_size.assign(p.shard_count, 0);
     if (n == 0) return p;
+    if (p.shard_count == 1) {  // one shard holds everything; no boundary
+        p.shard_size[0] = n;
+        return p;
+    }
 
     std::vector<bool> assigned(n, false);
     std::vector<NodeId> frontier;  // FIFO via cursor; lowest-id seeds first

@@ -78,17 +78,19 @@ void EventQueue::heap_pop() {
     heap_[i] = moved;
 }
 
-// Sorts `a` into exact (at, key) order. In counter mode `a` is a staging
-// batch whose keys (monotone seqs) already follow append order: a
-// *stable* sort by `at` alone is enough, and large batches take a
-// byte-wise LSD radix sort. Keyed queues lose that invariant (caller
-// priorities are arbitrary), so they always take the comparison sort.
-// The radix path is — O(bytes-that-vary * n) sequential passes, no comparison
-// mispredicts, which beats std::sort by ~8x on big shuffled batches.
-// `at` is guaranteed non-negative (schedule checks), so unsigned byte
-// order matches signed order.
+// Sorts `a` into exact (at, key) order. When the batch's keys already
+// follow append order — always in counter mode (monotone seqs), and
+// usually with caller priorities, since one handler's events share its
+// scheduling context and draw increasing counters — a *stable* sort by
+// `at` alone is enough, and large batches take a byte-wise LSD radix
+// sort. Other batches take the comparison sort. The radix path is
+// O(bytes-that-vary * n) sequential passes, no comparison mispredicts,
+// which beats std::sort by ~8x on big shuffled batches. `at` is
+// guaranteed non-negative (schedule checks), so unsigned byte order
+// matches signed order.
 void EventQueue::sort_batch(std::vector<HeapRec>& a) {
-    if (keyed_ || a.size() < 512) {
+    const auto by_key = [](const HeapRec& x, const HeapRec& y) { return x.key < y.key; };
+    if (a.size() < 512 || (keyed_ && !std::is_sorted(a.begin(), a.end(), by_key))) {
         std::sort(a.begin(), a.end(),
                   [](const HeapRec& x, const HeapRec& y) { return x.before(y); });
         return;

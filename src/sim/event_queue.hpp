@@ -165,9 +165,9 @@ private:
     std::vector<HeapRec> heap_;              // 4-ary min-heap by (at, seq)
     std::uint64_t next_seq_ = 0;
     std::size_t live_count_ = 0;
-    // Set by the first schedule_keyed(): caller priorities do not follow
-    // append order, so sort_batch must compare full (at, key) instead of
-    // relying on the staging order for the tie-break.
+    // Set by the first schedule_keyed(): caller priorities need not follow
+    // append order, so sort_batch checks a batch's key order before it
+    // relies on the staging order for the tie-break.
     bool keyed_ = false;
 };
 
