@@ -60,7 +60,7 @@ std::string chrome_trace_json(const sim::Trace& trace, const ExportMeta& meta);
 /// Canonical serialization over an already-merged record list — the
 /// parallel kernel sorts its per-shard snapshots and exports them with
 /// this overload. The counters are the summed per-shard totals, so the
-/// output is byte-identical to a sequential export of the same run.
+/// output is byte-identical to a single-shard export of the same run.
 std::string canonical_trace_json(const std::vector<sim::TraceRecord>& records,
                                  const ExportMeta& meta, std::uint64_t total_recorded,
                                  std::uint64_t dropped, std::uint64_t detail_dropped);

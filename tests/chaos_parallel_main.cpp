@@ -1,8 +1,9 @@
 // Seeded chaos sweep for the parallel event kernel (ChaosParallelSmoke).
 //
-// The sequential chaos gate (chaos_smoke_main.cpp) stresses the protocol
+// The one-shard chaos gate (chaos_smoke_main.cpp) stresses the protocol
 // stack; this one stresses the *kernel*: every seed's fault script runs
-// through node::ParallelCluster — sharded mirrors, bounded windows,
+// through node::ParallelCluster at several shard counts — sharded
+// mirrors, bounded windows,
 // cross-shard outboxes — and is held against the same convergence
 // oracle. The harness (scripts/chaos_parallel.sh) runs this binary at
 // several (shards, threads) combinations and byte-diffs the JSON: the
@@ -12,7 +13,7 @@
 // races would surface here first.
 //
 // Chaos configs need a positive lookahead: hop delays here are >= 1
-// (jittered [1, C] or fixed C), unlike the sequential chaos sweep's
+// (jittered [1, C] or fixed C), unlike the one-shard chaos sweep's
 // hop_delay_min = 0.
 #include <cstdlib>
 #include <cstring>
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
         cfg.net.loss_ppm = model.loss_ppm;
         cfg.net.dup_ppm = model.dup_ppm;
         // A slice of seeds arms the hardware-discipline monitors
-        // non-vacuously (same soundness conditions as the sequential
+        // non-vacuously (same soundness conditions as the one-shard
         // chaos sweep: exact A1 gap only with serialized fixed-P sends).
         if (seed % 7 == 3) {
             cfg.free_multisend = false;
