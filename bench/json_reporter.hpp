@@ -33,7 +33,7 @@ public:
     /// Writes BENCH_<bench>.json into the current directory (the build
     /// tree when run via ctest/cmake; .gitignore'd either way). Names and
     /// units pass through JSON escaping — a quote or backslash in a bench
-    /// label must not corrupt the file (scripts/bench_diff.py parses it).
+    /// label must not corrupt the file (fastnet_report --history parses it).
     void write() const {
         const std::string path = "BENCH_" + bench_name_ + ".json";
         std::ofstream out(path);

@@ -9,8 +9,8 @@
 //
 //   * per-bench metric trajectories across snapshots, with the relative
 //     delta of the newest snapshot against its predecessor — direction
-//     aware, the same rule as scripts/bench_diff.py: units containing
-//     "per_sec" regress downwards, everything else regresses upwards;
+//     aware (see higher_is_better): throughput and carried-work units
+//     regress downwards, everything else regresses upwards;
 //   * theorem-bound audit tables (obs::BoundAudit exports, re-verified
 //     on load — the verdict column is recomputed, not trusted);
 //   * live invariant monitor violations (obs::violations_json exports);
@@ -107,11 +107,12 @@ bool load_bench(const std::string& path, BenchRun& out, std::string& error) {
     return true;
 }
 
-/// The same direction rule as scripts/bench_diff.py: throughput and
-/// carried-work units ("per_sec", "calls" — e.g. the call benches'
-/// carried load — and the profiler's "invocations") regress downwards;
-/// cost units (ns, ms, allocs, pct, ticks, retries, and the critical-path
-/// bench's "path_ticks"/"segments" latency attribution) regress upwards.
+/// The direction rule behind `fastnet_report --history`'s deltas and
+/// --fail-on-regression: throughput and carried-work units ("per_sec",
+/// "calls" — e.g. the call benches' carried load — and the profiler's
+/// "invocations") regress downwards; cost units (ns, ms, allocs, pct,
+/// ticks, retries, and the critical-path bench's "path_ticks"/"segments"
+/// latency attribution) regress upwards.
 bool higher_is_better(const std::string& unit) {
     return unit.find("per_sec") != std::string::npos || unit == "calls" ||
            unit == "invocations";
