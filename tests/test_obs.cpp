@@ -4,6 +4,7 @@
 // the exported JSON text alone, with no access to the live Trace.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -171,6 +172,37 @@ TEST(Export, CanonicalValidatorCatchesCorruption) {
             "total_recorded":1,"dropped":0,"detail_dropped":0,"records":[
             {"at":0,"node":0,"kind":"warp","lineage":0,"a":0,"b":0,"flag":0}]})",
         &err));
+}
+
+TEST(Export, CanonicalRecordBytesOfEdgeValues) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    TraceRecord scope;  // network scope, every word at its maximum, c unset
+    scope.at = 42;
+    scope.node = kNoNode;
+    scope.kind = TraceKind::kHop;
+    scope.flag = 255;
+    scope.lineage = kMax;
+    scope.a = kMax;
+    scope.b = kMax;
+    scope.detail = std::string("q\"b\\s\nx\x01y");
+
+    TraceRecord anchored;  // c set, no detail
+    anchored.at = 7;
+    anchored.node = 3;
+    anchored.kind = TraceKind::kDeliver;
+    anchored.lineage = 1;
+    anchored.a = 2;
+    anchored.c = 5;
+
+    // The record appends to what the buffer already holds.
+    std::string out = "<";
+    append_canonical_record(out, scope);
+    append_canonical_record(out, anchored);
+    EXPECT_EQ(out,
+              R"(<{"at":42,"node":-1,"kind":"hop","lineage":18446744073709551615,)"
+              R"("a":18446744073709551615,"b":18446744073709551615,"flag":255,)"
+              R"("detail":"q\"b\\s\nx\u0001y"})"
+              R"({"at":7,"node":3,"kind":"deliver","lineage":1,"a":2,"b":0,"c":5,"flag":0})");
 }
 
 // ---- Chrome export -----------------------------------------------------
