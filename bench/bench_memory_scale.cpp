@@ -285,6 +285,7 @@ SpillPoint measure_spill_traced_election(NodeId n) {
     FASTNET_ENSURES_MSG(merge.open(cluster.spill_paths(), &error), "spill file unreadable");
     std::uint64_t merged = 0;
     for (sim::TraceRecord r; merge.next(r);) ++merged;
+    FASTNET_ENSURES_MSG(merge.error().empty(), "spill segment failed to decode");
     FASTNET_ENSURES_MSG(merged == stats.total_recorded,
                         "merged record count != recorded count");
 

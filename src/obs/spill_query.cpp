@@ -19,6 +19,13 @@ bool fail(std::string* error, const std::string& message) {
     return false;
 }
 
+/// How a streaming pass ends: false (with the merge's decode error) when
+/// a segment turned out corrupt part-way, so no query reports success
+/// over a partial stream.
+bool finished(const sim::SpillMerge& merge, std::string* error) {
+    return merge.error().empty() || fail(error, merge.error());
+}
+
 void put_u64(std::string& buf, std::uint64_t v) {
     for (unsigned i = 0; i < 8; ++i) buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
@@ -51,6 +58,7 @@ bool spill_canonical_json(const std::vector<std::string>& paths, const ExportMet
             buf.clear();
         }
     }
+    if (!finished(merge, error)) return false;
     if (!first) buf += "\n";
     buf += canonical_trace_footer();
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
@@ -71,6 +79,7 @@ bool spill_chrome_json(const std::vector<std::string>& paths, const ExportMeta& 
             buf.clear();
         }
     }
+    if (!finished(merge, error)) return false;
     buf += chrome_trace_footer(meta);
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     if (!os) return fail(error, "write failed while streaming chrome export");
@@ -85,7 +94,7 @@ bool spill_collect(const std::vector<std::string>& paths,
     sim::TraceRecord r;
     while (merge.next(r))
         if (keep(r)) out.push_back(r);
-    return true;
+    return finished(merge, error);
 }
 
 bool spill_critical_path(const std::vector<std::string>& paths,
@@ -100,6 +109,7 @@ bool spill_critical_path(const std::vector<std::string>& paths,
         builder.add(r);
         peak = std::max(peak, builder.memory_bytes());
     }
+    if (!finished(merge, error)) return false;
     out = builder.finish();
     if (peak_memory_bytes != nullptr) *peak_memory_bytes = peak;
     return true;
@@ -133,7 +143,7 @@ bool spill_summarize(const std::vector<std::string>& paths, SpillSummary& out,
         ++out.records;
         out.counts[static_cast<std::size_t>(r.kind)] += 1;
     }
-    return true;
+    return finished(merge, error);
 }
 
 bool LineageIndex::build(const std::vector<std::string>& paths, std::string* error) {
@@ -144,6 +154,10 @@ bool LineageIndex::build(const std::vector<std::string>& paths, std::string* err
     while (merge.next(r)) {
         if (r.kind != sim::TraceKind::kSend) continue;
         pairs_.emplace_back(r.lineage, r.b);
+    }
+    if (!finished(merge, error)) {
+        pairs_.clear();
+        return false;
     }
     // First kSend in merge order wins — the relation lineage_ancestry
     // walks. stable_sort keeps the stream order within equal lineages.

@@ -15,6 +15,11 @@
 //
 // Sidecar layout (little-endian): "FNLIDX01" u64 count, then count
 // (u64 lineage, u64 parent) pairs sorted by lineage.
+//
+// Every streaming query below returns false, with `error` naming the
+// file and the segment, when a segment fails to decode part-way
+// (sim::SpillMerge::error()); what it wrote or collected up to then is
+// not a result.
 #pragma once
 
 #include <functional>
