@@ -1,35 +1,52 @@
 #include "obs/trace_export.hpp"
 
+#include <algorithm>
+#include <charconv>
+
 #include "obs/json.hpp"
 
 namespace fastnet::obs {
 
-namespace {
-
-/// Signed render of a NodeId where kNoNode becomes -1 (network scope).
-std::string node_field(NodeId node) {
-    return node == kNoNode ? std::string("-1") : std::to_string(node);
-}
-
-}  // namespace
-
 void append_canonical_record(std::string& out, const sim::TraceRecord& r) {
-    out += "{\"at\":" + std::to_string(r.at);
-    out += ",\"node\":" + node_field(r.node);
-    out += ",\"kind\":\"";
-    out += sim::trace_kind_name(r.kind);
-    out += "\",\"lineage\":" + std::to_string(r.lineage);
-    out += ",\"a\":" + std::to_string(r.a);
-    out += ",\"b\":" + std::to_string(r.b);
+    // The fixed fields go through one stack buffer and one append. Seven
+    // numbers of at most 20 characters (UINT64_MAX, or INT64_MIN with its
+    // sign), the keys and the kind name need under 200 bytes.
+    char buf[256];
+    char* p = buf;
+    const auto text = [&p](std::string_view s) { p = std::copy(s.begin(), s.end(), p); };
+    const auto number = [&p](auto v) { p = std::to_chars(p, p + 20, v).ptr; };
+    text("{\"at\":");
+    number(r.at);
+    text(",\"node\":");
+    if (r.node == kNoNode)  // network scope
+        text("-1");
+    else
+        number(r.node);
+    text(",\"kind\":\"");
+    text(sim::trace_kind_name(r.kind));
+    text("\",\"lineage\":");
+    number(r.lineage);
+    text(",\"a\":");
+    number(r.a);
+    text(",\"b\":");
+    number(r.b);
     // Causal anchor: emitted only when set, so records without one (and
     // pre-anchor exports) keep their exact historical bytes.
-    if (r.c != 0) out += ",\"c\":" + std::to_string(r.c);
-    out += ",\"flag\":" + std::to_string(r.flag);
-    if (!r.detail.empty()) {
-        out += ",\"detail\":";
-        out += json_quote(r.detail);
+    if (r.c != 0) {
+        text(",\"c\":");
+        number(r.c);
     }
-    out += "}";
+    text(",\"flag\":");
+    number(static_cast<unsigned>(r.flag));
+    if (r.detail.empty()) {
+        text("}");
+        out.append(buf, p);
+        return;
+    }
+    text(",\"detail\":\"");
+    out.append(buf, p);
+    append_json_escaped(out, r.detail);
+    out += "\"}";
 }
 
 ExportMeta make_meta(const graph::Graph& g, std::string name) {
