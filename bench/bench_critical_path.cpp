@@ -35,7 +35,7 @@
 #include "fastnet.hpp"
 #include "json_reporter.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/spill_query.hpp"
+#include "sim/record_source.hpp"
 #include "sim/trace_spill.hpp"
 
 namespace {
@@ -181,9 +181,10 @@ MillionPoint measure_million_node_extraction(NodeId n, std::size_t budget) {
     p.records = stats.total_recorded;
     std::string error;
     const auto t0 = std::chrono::steady_clock::now();
-    FASTNET_ENSURES_MSG(
-        obs::spill_critical_path(cluster.spill_paths(), cp, p.report, &error, &p.peak_bytes),
-        "spill critical-path pass failed");
+    sim::SpillMerge merge;
+    FASTNET_ENSURES_MSG(merge.open(cluster.spill_paths(), &error) &&
+                            obs::critical_path(merge, cp, p.report, &error, &p.peak_bytes),
+                        "spill critical-path pass failed");
     const auto t1 = std::chrono::steady_clock::now();
     p.extract_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
 
@@ -200,6 +201,14 @@ MillionPoint measure_million_node_extraction(NodeId n, std::size_t budget) {
     return p;
 }
 
+/// critical_path over a resident run's records.
+obs::CriticalPathReport report_of(const std::vector<sim::TraceRecord>& records) {
+    sim::SpanSource src(records);
+    obs::CriticalPathReport report;
+    FASTNET_ENSURES(obs::critical_path(src, {}, report));
+    return report;
+}
+
 }  // namespace
 
 int main() {
@@ -208,7 +217,7 @@ int main() {
 
     // ---- determinism across shards x threads, in-memory vs spill -------
     const ChaosRun base = run_chaos(1, 1, "");
-    const obs::CriticalPathReport report = obs::critical_path(base.records);
+    const obs::CriticalPathReport report = report_of(base.records);
     const std::string formatted = obs::format_critical_path(report);
     check_exact_sums(report);
     FASTNET_ENSURES(report.deliveries > 0 && report.timer_fires > 0);
@@ -219,7 +228,7 @@ int main() {
         FASTNET_ENSURES_MSG(run.completion == base.completion,
                             "sharding changed the simulation");
         const std::string other =
-            obs::format_critical_path(obs::critical_path(run.records));
+            obs::format_critical_path(report_of(run.records));
         FASTNET_ENSURES_MSG(other == formatted,
                             "critical-path report differs across shard/thread configs");
     }
@@ -228,9 +237,10 @@ int main() {
         const ChaosRun run = run_chaos(4, 2, spill_dir);
         obs::CriticalPathReport streamed;
         std::string error;
-        FASTNET_ENSURES_MSG(
-            obs::spill_critical_path(run.spill_paths, {}, streamed, &error),
-            "spill critical-path pass failed");
+        sim::SpillMerge merge;
+        FASTNET_ENSURES_MSG(merge.open(run.spill_paths, &error) &&
+                                obs::critical_path(merge, {}, streamed, &error),
+                            "spill critical-path pass failed");
         FASTNET_ENSURES_MSG(obs::format_critical_path(streamed) == formatted,
                             "streaming spill engine disagrees with the in-memory engine");
         std::error_code ec;

@@ -386,11 +386,19 @@ std::size_t CriticalPathBuilder::memory_bytes() const {
            hop_ctx_.memory_bytes() + blame_.memory_bytes();
 }
 
-CriticalPathReport critical_path(std::span<const sim::TraceRecord> records,
-                                 const CriticalPathConfig& config) {
+bool critical_path(sim::RecordSource& src, const CriticalPathConfig& config,
+                   CriticalPathReport& out, std::string* error,
+                   std::size_t* peak_memory_bytes) {
     CriticalPathBuilder builder(config);
-    for (const sim::TraceRecord& r : records) builder.add(r);
-    return builder.finish();
+    std::size_t peak = builder.memory_bytes();
+    if (!sim::drain(src, error, [&](const sim::TraceRecord& r) {
+            builder.add(r);
+            peak = std::max(peak, builder.memory_bytes());
+        }))
+        return false;
+    out = builder.finish();
+    if (peak_memory_bytes != nullptr) *peak_memory_bytes = peak;
+    return true;
 }
 
 // ---- pass 2: waterfall --------------------------------------------------

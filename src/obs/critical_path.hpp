@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "cost/metrics.hpp"
+#include "sim/record_source.hpp"
 #include "sim/trace.hpp"
 #include "util/flat_map.hpp"
 
@@ -245,10 +246,14 @@ private:
     bool finished_ = false;
 };
 
-/// One-call helper over in-memory records (must be in merged order —
-/// Trace::snapshot / ParallelCluster::merged_trace both are).
-CriticalPathReport critical_path(std::span<const sim::TraceRecord> records,
-                                 const CriticalPathConfig& config = {});
+/// Streams `src` (merged order) through a CriticalPathBuilder in one
+/// bounded-memory pass. `peak_memory_bytes` (optional) receives the
+/// builder's maximum resident footprint, what bench_critical_path gates
+/// against the 4 MiB budget. False, with the source's error, when the
+/// stream failed part-way.
+bool critical_path(sim::RecordSource& src, const CriticalPathConfig& config,
+                   CriticalPathReport& out, std::string* error = nullptr,
+                   std::size_t* peak_memory_bytes = nullptr);
 
 // ---- pass 2: exact leg-by-leg waterfall of one chain --------------------
 
@@ -270,8 +275,8 @@ struct PathWaterfall {
 /// Rebuilds the exact leg-by-leg waterfall of the chain ending at
 /// `path.terminal` / `path.terminal_node` / `path.end` by walking the
 /// chain's records backward (records: every record of the chain's
-/// ancestry lineages, chronological — obs::causal_chain or a
-/// LineageIndex-driven spill_collect provide exactly that).
+/// ancestry lineages, chronological — obs::chain_records over the
+/// terminal's LineageIndex ancestry provides exactly that).
 PathWaterfall path_waterfall(std::span<const sim::TraceRecord> chain_records,
                              const PathSummary& path,
                              const CriticalPathConfig& config = {});

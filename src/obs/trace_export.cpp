@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <sstream>
 
 #include "obs/json.hpp"
 
@@ -66,6 +67,38 @@ std::string canonical_trace_json(const sim::Trace& trace, const ExportMeta& meta
                                 trace.dropped(), trace.detail_dropped());
 }
 
+std::string canonical_trace_json(const std::vector<sim::TraceRecord>& records,
+                                 const ExportMeta& meta, std::uint64_t total_recorded,
+                                 std::uint64_t dropped, std::uint64_t detail_dropped) {
+    sim::SpanSource src(records);
+    std::ostringstream os;
+    write_canonical(src, meta, total_recorded, dropped, detail_dropped, os);
+    return std::move(os).str();
+}
+
+namespace {
+
+/// Flush threshold for the streaming writers' append buffer.
+constexpr std::size_t kFlushBytes = 1 << 16;
+
+/// Writes `buf` out once it holds kFlushBytes.
+void flush_full(std::string& buf, std::ostream& os) {
+    if (buf.size() < kFlushBytes) return;
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+}
+
+/// Writes the last of an export.
+bool flush_rest(const std::string& buf, std::ostream& os, const char* format,
+                std::string* error) {
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    if (os) return true;
+    if (error) *error = std::string("write failed while streaming ") + format + " export";
+    return false;
+}
+
+/// Everything before the first record of a canonical export (ends just
+/// after `"records": [\n`).
 std::string canonical_trace_header(const ExportMeta& meta, std::uint64_t total_recorded,
                                    std::uint64_t dropped, std::uint64_t detail_dropped) {
     std::string out;
@@ -92,18 +125,25 @@ std::string canonical_trace_header(const ExportMeta& meta, std::uint64_t total_r
     return out;
 }
 
-std::string canonical_trace_footer() { return "]\n}\n"; }
+}  // namespace
 
-std::string canonical_trace_json(const std::vector<sim::TraceRecord>& records,
-                                 const ExportMeta& meta, std::uint64_t total_recorded,
-                                 std::uint64_t dropped, std::uint64_t detail_dropped) {
-    std::string out = canonical_trace_header(meta, total_recorded, dropped, detail_dropped);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        append_canonical_record(out, records[i]);
-        out += i + 1 < records.size() ? ",\n" : "\n";
-    }
-    out += canonical_trace_footer();
-    return out;
+bool write_canonical(sim::RecordSource& src, const ExportMeta& meta,
+                     std::uint64_t total_recorded, std::uint64_t dropped,
+                     std::uint64_t detail_dropped, std::ostream& os, std::string* error) {
+    std::string buf = canonical_trace_header(meta, total_recorded, dropped, detail_dropped);
+    bool first = true;
+    if (!sim::drain(src, error, [&](const sim::TraceRecord& r) {
+            // A separator before each record but the first, a newline
+            // after the last.
+            if (!first) buf += ",\n";
+            first = false;
+            append_canonical_record(buf, r);
+            flush_full(buf, os);
+        }))
+        return false;
+    if (!first) buf += "\n";
+    buf += "]\n}\n";
+    return flush_rest(buf, os, "canonical", error);
 }
 
 namespace {
@@ -143,12 +183,8 @@ void append_complete(std::string& out, std::string_view name, std::uint64_t tid,
 
 std::string lin_arg(std::uint64_t lineage) { return "\"lin\":" + std::to_string(lineage); }
 
-}  // namespace
-
-std::string chrome_trace_json(const sim::Trace& trace, const ExportMeta& meta) {
-    return chrome_trace_json(trace.snapshot(), meta);
-}
-
+/// Everything before the first record event of a Chrome export (the
+/// traceEvents opener plus process/thread naming metadata).
 std::string chrome_trace_header(const ExportMeta& meta) {
     std::string out;
     out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
@@ -173,6 +209,7 @@ std::string chrome_trace_header(const ExportMeta& meta) {
     return out;
 }
 
+/// The Chrome event(s) for one record, each ending in ",\n".
 void append_chrome_record(std::string& out, const sim::TraceRecord& r) {
     const std::uint64_t ncu_tid = r.node == kNoNode ? 0 : r.node;
     switch (r.kind) {
@@ -250,6 +287,8 @@ void append_chrome_record(std::string& out, const sim::TraceRecord& r) {
     }
 }
 
+}  // namespace
+
 std::string chrome_trace_footer(const ExportMeta& meta) {
     // A final metadata event avoids trailing-comma bookkeeping above and
     // stamps the trace with its scenario name.
@@ -261,12 +300,28 @@ std::string chrome_trace_footer(const ExportMeta& meta) {
     return out;
 }
 
+std::string chrome_trace_json(const sim::Trace& trace, const ExportMeta& meta) {
+    return chrome_trace_json(trace.snapshot(), meta);
+}
+
 std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
                               const ExportMeta& meta) {
-    std::string out = chrome_trace_header(meta);
-    for (const sim::TraceRecord& r : records) append_chrome_record(out, r);
-    out += chrome_trace_footer(meta);
-    return out;
+    sim::SpanSource src(records);
+    std::ostringstream os;
+    write_chrome(src, meta, os);
+    return std::move(os).str();
+}
+
+bool write_chrome(sim::RecordSource& src, const ExportMeta& meta, std::ostream& os,
+                  std::string* error) {
+    std::string buf = chrome_trace_header(meta);
+    if (!sim::drain(src, error, [&](const sim::TraceRecord& r) {
+            append_chrome_record(buf, r);
+            flush_full(buf, os);
+        }))
+        return false;
+    buf += chrome_trace_footer(meta);
+    return flush_rest(buf, os, "chrome", error);
 }
 
 namespace {

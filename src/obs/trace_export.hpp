@@ -28,6 +28,7 @@
 // verify every required key, type and enum value.
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -35,6 +36,7 @@
 
 #include "common/types.hpp"
 #include "graph/graph.hpp"
+#include "sim/record_source.hpp"
 #include "sim/trace.hpp"
 
 namespace fastnet::obs {
@@ -69,28 +71,26 @@ std::string canonical_trace_json(const std::vector<sim::TraceRecord>& records,
 std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
                               const ExportMeta& meta);
 
-// ---- streaming export pieces ---------------------------------------
-// The serializers above are header + per-record append + footer; the
-// pieces are exposed so the spill-file exporters (obs/spill_query.hpp)
-// can emit the same bytes one record at a time without materializing
-// the trace — that sharing is the byte-identity guarantee between the
-// in-memory and spilled paths.
+/// Streams `src` as a canonical export into `os`, one record at a time.
+/// Every canonical export is written by this function, so a spill merge
+/// and the in-memory records of the same run give the same bytes. False,
+/// with the reason in `error`, when the stream failed part-way (what was
+/// written is not an export) or `os` failed.
+bool write_canonical(sim::RecordSource& src, const ExportMeta& meta,
+                     std::uint64_t total_recorded, std::uint64_t dropped,
+                     std::uint64_t detail_dropped, std::ostream& os,
+                     std::string* error = nullptr);
 
-/// Everything before the first record of a canonical export (ends just
-/// after `"records": [\n`).
-std::string canonical_trace_header(const ExportMeta& meta, std::uint64_t total_recorded,
-                                   std::uint64_t dropped, std::uint64_t detail_dropped);
+/// Streams `src` as a Chrome trace-event export into `os`; the same
+/// contract as write_canonical.
+bool write_chrome(sim::RecordSource& src, const ExportMeta& meta, std::ostream& os,
+                  std::string* error = nullptr);
+
 /// One canonical record object (no separator).
 void append_canonical_record(std::string& out, const sim::TraceRecord& r);
-/// Everything after the last record of a canonical export.
-std::string canonical_trace_footer();
 
-/// Everything before the first record event of a Chrome export (the
-/// traceEvents opener plus process/thread naming metadata).
-std::string chrome_trace_header(const ExportMeta& meta);
-/// The Chrome event(s) for one record, each ending in ",\n".
-void append_chrome_record(std::string& out, const sim::TraceRecord& r);
-/// The closing metadata event + array/object terminators.
+/// The closing metadata event + array/object terminators of a Chrome
+/// export; extra events (the critical-path overlay) go right before it.
 std::string chrome_trace_footer(const ExportMeta& meta);
 
 /// A canonical export read back from disk.

@@ -2,36 +2,98 @@
 
 #include <algorithm>
 
+#include "common/expect.hpp"
+#include "sim/trace_spill.hpp"
+
 namespace fastnet::obs {
 
-std::vector<sim::TraceRecord> filter_records(std::span<const sim::TraceRecord> records,
-                                             const TraceFilter& f) {
-    std::vector<sim::TraceRecord> out;
-    for (const sim::TraceRecord& r : records) {
-        if (f.node && r.node != *f.node) continue;
-        if (f.kind && r.kind != *f.kind) continue;
-        if (f.lineage && r.lineage != *f.lineage) continue;
-        if (f.from && r.at < *f.from) continue;
-        if (f.to && r.at > *f.to) continue;
-        out.push_back(r);
+bool TraceFilter::matches(const sim::TraceRecord& r) const {
+    return (!node || r.node == *node) && (!kind || r.kind == *kind) &&
+           (!lineage || r.lineage == *lineage) && (!from || r.at >= *from) &&
+           (!to || r.at <= *to);
+}
+
+bool filter_records(sim::RecordSource& src, const TraceFilter& f,
+                    std::vector<sim::TraceRecord>& out, std::string* error) {
+    out.clear();
+    return sim::drain(src, error, [&](const sim::TraceRecord& r) {
+        if (f.matches(r)) out.push_back(r);
+    });
+}
+
+void LineageIndex::finish() {
+    // First send in stream order wins — the relation lineage_ancestry
+    // walks. stable_sort keeps the stream order within equal lineages.
+    std::stable_sort(pairs_.begin(), pairs_.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    pairs_.erase(std::unique(pairs_.begin(), pairs_.end(),
+                             [](const auto& a, const auto& b) { return a.first == b.first; }),
+                 pairs_.end());
+    finished_ = true;
+}
+
+bool LineageIndex::build(sim::RecordSource& src, std::string* error) {
+    pairs_.clear();
+    const bool ok = sim::drain(src, error, [this](const sim::TraceRecord& r) { add(r); });
+    if (!ok) pairs_.clear();
+    finish();
+    return ok;
+}
+
+bool LineageIndex::build(const std::vector<std::string>& paths, std::string* error) {
+    sim::SpillMerge merge;
+    return merge.open(paths, error) && build(merge, error);
+}
+
+std::uint64_t LineageIndex::parent_of(std::uint64_t lineage) const {
+    FASTNET_EXPECTS_MSG(finished_, "LineageIndex queried before finish()");
+    auto it = std::lower_bound(pairs_.begin(), pairs_.end(), lineage,
+                               [](const auto& p, std::uint64_t l) { return p.first < l; });
+    return it != pairs_.end() && it->first == lineage ? it->second : 0;
+}
+
+std::vector<std::uint64_t> LineageIndex::ancestry(std::uint64_t lineage) const {
+    std::vector<std::uint64_t> chain;
+    std::uint64_t cur = lineage;
+    // Every lineage on a walk but the root has an entry, so a walk longer
+    // than the index revisited one. Real ids cannot cycle; a corrupt or
+    // hand-edited trace must not hang us. O(1) per step, so million-deep
+    // chains (the ring election at scale) stay linear.
+    while (cur != 0 && chain.size() <= pairs_.size()) {
+        chain.push_back(cur);
+        cur = parent_of(cur);
     }
-    return out;
+    if (cur != 0) {
+        // Cut the cycle where its first lineage repeats, as
+        // lineage_ancestry does: the tail lies on the cycle, which gives
+        // its period, and the first lineage the period repeats starts it.
+        std::size_t period = 1;
+        while (chain[chain.size() - 1 - period] != chain.back()) ++period;
+        std::size_t start = 0;
+        while (chain[start] != chain[start + period]) ++start;
+        chain.resize(start + period);
+    }
+    std::reverse(chain.begin(), chain.end());
+    return chain;
 }
 
-namespace {
-
-/// The causal parent of `lineage` (the lineage whose handler performed
-/// its send), or 0 when unknown / spontaneous.
-std::uint64_t parent_of(std::span<const sim::TraceRecord> records, std::uint64_t lineage) {
-    for (const sim::TraceRecord& r : records)
-        if (r.kind == sim::TraceKind::kSend && r.lineage == lineage) return r.b;
-    return 0;
+bool chain_records(sim::RecordSource& src, std::vector<std::uint64_t> lineages,
+                   std::vector<sim::TraceRecord>& out, std::string* error) {
+    std::sort(lineages.begin(), lineages.end());
+    out.clear();
+    return sim::drain(src, error, [&](const sim::TraceRecord& r) {
+        if (r.lineage != 0 && std::binary_search(lineages.begin(), lineages.end(), r.lineage))
+            out.push_back(r);
+    });
 }
-
-}  // namespace
 
 std::vector<std::uint64_t> lineage_ancestry(std::span<const sim::TraceRecord> records,
                                             std::uint64_t lineage) {
+    const auto parent_of = [records](std::uint64_t l) -> std::uint64_t {
+        for (const sim::TraceRecord& r : records)
+            if (r.kind == sim::TraceKind::kSend && r.lineage == l) return r.b;
+        return 0;
+    };
     std::vector<std::uint64_t> chain;
     std::uint64_t cur = lineage;
     while (cur != 0) {
@@ -39,57 +101,45 @@ std::vector<std::uint64_t> lineage_ancestry(std::span<const sim::TraceRecord> re
         // trace cannot cycle, but a hand-edited file must not hang us.
         if (std::find(chain.begin(), chain.end(), cur) != chain.end()) break;
         chain.push_back(cur);
-        cur = parent_of(records, cur);
+        cur = parent_of(cur);
     }
     std::reverse(chain.begin(), chain.end());
     return chain;
 }
 
-std::vector<sim::TraceRecord> causal_chain(std::span<const sim::TraceRecord> records,
-                                           std::uint64_t lineage) {
-    const std::vector<std::uint64_t> lineages = lineage_ancestry(records, lineage);
-    std::vector<sim::TraceRecord> out;
-    for (const sim::TraceRecord& r : records) {
-        if (r.lineage == 0) continue;
-        if (std::find(lineages.begin(), lineages.end(), r.lineage) != lineages.end())
-            out.push_back(r);
-    }
-    return out;  // records is chronological, so out is too
+bool summarize(sim::RecordSource& src, TraceSummary& out, std::string* error) {
+    out = TraceSummary{};
+    return sim::drain(src, error, [&out](const sim::TraceRecord& r) {
+        if (out.records == 0) out.first_at = r.at;
+        out.last_at = r.at;
+        ++out.records;
+        out.counts[static_cast<std::size_t>(r.kind)] += 1;
+    });
 }
 
-std::vector<CrashEpisode> crash_episodes(std::span<const sim::TraceRecord> records) {
-    std::vector<CrashEpisode> out;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const sim::TraceRecord& r = records[i];
-        if (r.kind != sim::TraceKind::kCrash) continue;
-        CrashEpisode ep;
-        ep.node = r.node;
-        ep.crashed_at = r.at;
-        for (std::size_t j = i + 1; j < records.size(); ++j) {
-            const sim::TraceRecord& s = records[j];
+bool crash_episodes(sim::RecordSource& src, std::vector<CrashEpisode>& out,
+                    std::string* error) {
+    out.clear();
+    const bool ok = sim::drain(src, error, [&out](const sim::TraceRecord& r) {
+        // Every episode opened by an earlier crash sees this record.
+        for (CrashEpisode& ep : out) {
             if (ep.restarted_at == kNever) {
-                if (s.kind == sim::TraceKind::kDrop) ++ep.drops_while_down;
-                if (s.kind == sim::TraceKind::kRestart && s.node == r.node)
-                    ep.restarted_at = s.at;
+                if (r.kind == sim::TraceKind::kDrop) ++ep.drops_while_down;
+                if (r.kind == sim::TraceKind::kRestart && r.node == ep.node)
+                    ep.restarted_at = r.at;
                 continue;
             }
-            ep.settled_at = s.at;
-            if (s.kind == sim::TraceKind::kDeliver && s.node == r.node)
+            ep.settled_at = r.at;
+            if (r.kind == sim::TraceKind::kDeliver && r.node == ep.node)
                 ++ep.deliveries_after_restart;
         }
+        if (r.kind == sim::TraceKind::kCrash)
+            out.push_back(CrashEpisode{.node = r.node, .crashed_at = r.at});
+    });
+    for (CrashEpisode& ep : out)
         if (ep.restarted_at != kNever && ep.settled_at == kNever)
             ep.settled_at = ep.restarted_at;
-        out.push_back(ep);
-    }
-    return out;
-}
-
-std::array<std::uint64_t, sim::kTraceKindCount> kind_counts(
-    std::span<const sim::TraceRecord> records) {
-    std::array<std::uint64_t, sim::kTraceKindCount> counts{};
-    for (const sim::TraceRecord& r : records)
-        counts[static_cast<std::size_t>(r.kind)] += 1;
-    return counts;
+    return ok;
 }
 
 std::string format_records(std::span<const sim::TraceRecord> records) {
@@ -101,8 +151,7 @@ std::string format_records(std::span<const sim::TraceRecord> records) {
     return out;
 }
 
-std::string format_reconvergence(std::span<const sim::TraceRecord> records) {
-    const std::vector<CrashEpisode> episodes = crash_episodes(records);
+std::string format_reconvergence(std::span<const CrashEpisode> episodes) {
     if (episodes.empty()) return "no crashes in trace\n";
     std::string out;
     for (const CrashEpisode& ep : episodes) {

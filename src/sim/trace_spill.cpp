@@ -324,10 +324,17 @@ bool SpillMerge::open(const std::vector<std::string>& paths, std::string* error)
     totals_ = {};
     truncated_ = false;
     error_.clear();
-    if (paths.empty()) return fail(error, "no spill files to merge");
+    const auto failed = [&] {
+        heap_.clear();
+        return fail(error, error_);
+    };
+    if (paths.empty()) {
+        error_ = "no spill files to merge";
+        return failed();
+    }
     for (const std::string& p : paths) {
         auto file = std::make_unique<SpillFile>();
-        if (!file->open(p, error)) return false;
+        if (!file->open(p, &error_)) return failed();
         totals_.total_recorded += file->stats().total_recorded;
         totals_.dropped += file->stats().dropped;
         totals_.detail_dropped += file->stats().detail_dropped;
@@ -338,7 +345,7 @@ bool SpillMerge::open(const std::vector<std::string>& paths, std::string* error)
             cursors_.emplace_back();
             Cursor& c = cursors_.back();
             c.shard = file->shard();
-            if (!c.reader.open(*file, s, error)) return false;
+            if (!c.reader.open(*file, s, &error_)) return failed();
         }
         files_.push_back(std::move(file));
     }
@@ -348,7 +355,7 @@ bool SpillMerge::open(const std::vector<std::string>& paths, std::string* error)
             heap_.push_back(i);
         } else if (!c.reader.error().empty()) {
             error_ = c.reader.error();
-            return fail(error, error_);
+            return failed();
         }
     }
     std::make_heap(heap_.begin(), heap_.end(),

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "sim/record_source.hpp"
 #include "sim/trace.hpp"
 
 namespace fastnet::sim {
@@ -204,16 +205,20 @@ std::vector<std::string> spill_files(const std::string& path, std::string* error
 /// file, ordered by (at, node_sort_key, shard, seq) — the stable-sort
 /// order of the in-memory merged trace. Streams one record at a time;
 /// resident memory is one read block per segment, not O(total records).
-class SpillMerge {
+class SpillMerge final : public RecordSource {
 public:
+    /// Opens the files and restarts the stream. On failure the merge is
+    /// an empty stream whose error() says why, so a query handed it
+    /// fails instead of reading zero records.
     bool open(const std::vector<std::string>& paths, std::string* error = nullptr);
     /// Pops the next record in merged order; false at end of stream or
     /// once any segment fails to decode (see error()).
-    bool next(TraceRecord& out);
-    /// The first segment decode error, naming the file and the segment;
-    /// empty while the stream is valid. A query that ends with a
-    /// non-empty error() read a corrupt file and must not report success.
-    const std::string& error() const { return error_; }
+    bool next(TraceRecord& out) override;
+    /// Why open() failed, or the first segment decode error, naming the
+    /// file and the segment; empty while the stream is valid. A query
+    /// that ends with a non-empty error() read a corrupt file and must
+    /// not report success.
+    const std::string& error() const override { return error_; }
     /// Summed trailer stats of every input file.
     const SpillStats& totals() const { return totals_; }
     /// True when any input file was crash-truncated.

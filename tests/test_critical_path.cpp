@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,10 +22,10 @@
 #include "obs/audit.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/monitor.hpp"
-#include "obs/spill_query.hpp"
 #include "obs/trace_query.hpp"
 #include "paris/call_setup.hpp"
 #include "paris/workload.hpp"
+#include "sim/record_source.hpp"
 #include "sim/trace.hpp"
 #include "sim/trace_spill.hpp"
 
@@ -48,6 +49,15 @@ Tick seg(const SegmentTotals& t, SegmentKind k) {
     return t.ticks[static_cast<unsigned>(k)];
 }
 
+/// critical_path over records held in memory.
+CriticalPathReport report_of(std::span<const sim::TraceRecord> rs,
+                             const CriticalPathConfig& cfg = {}) {
+    sim::SpanSource src(rs);
+    CriticalPathReport report;
+    EXPECT_TRUE(critical_path(src, cfg, report));
+    return report;
+}
+
 // ---- exact-sum attribution on handcrafted chains ------------------------
 
 TEST(CriticalPath, TwoLegChainTilesExactly) {
@@ -60,7 +70,7 @@ TEST(CriticalPath, TwoLegChainTilesExactly) {
     rs.push_back(rec(sim::TraceKind::kSend, 10, 1, 2, 0, /*parent=*/1, /*sent=*/10));
     rs.push_back(rec(sim::TraceKind::kDeliver, 25, 2, 2, 0, /*busy=*/3, /*sent=*/10));
 
-    const CriticalPathReport report = critical_path(rs);
+    const CriticalPathReport report = report_of(rs);
     ASSERT_TRUE(report.has_witness);
     const PathSummary& w = report.witness;
     EXPECT_EQ(w.root, 1u);
@@ -87,7 +97,7 @@ TEST(CriticalPath, DeferredSendGapIsQueueing) {
     rs.push_back(rec(sim::TraceKind::kSend, 14, 1, 2, 0, 1, 14));
     rs.push_back(rec(sim::TraceKind::kDeliver, 20, 2, 2, 0, 1, 14));
 
-    const CriticalPathReport report = critical_path(rs);
+    const CriticalPathReport report = report_of(rs);
     const PathSummary& w = report.witness;
     EXPECT_EQ(w.latency(), 20);
     EXPECT_EQ(seg(w.totals, SegmentKind::kQueueing), 4);
@@ -102,7 +112,7 @@ TEST(CriticalPath, HopRecordSplitsTransitFromSwitchQueueing) {
     with_hop.push_back(rec(sim::TraceKind::kSend, 0, 0, 1, 0, 0, 0));
     with_hop.push_back(rec(sim::TraceKind::kHop, 6, 1, 1, /*edge=*/7, 0, /*hop_sent=*/0));
     with_hop.push_back(rec(sim::TraceKind::kDeliver, 10, 1, 1, 0, 2, 0));
-    const CriticalPathReport split = critical_path(with_hop);
+    const CriticalPathReport split = report_of(with_hop);
     EXPECT_EQ(seg(split.witness.totals, SegmentKind::kTransit), 6);
     EXPECT_EQ(seg(split.witness.totals, SegmentKind::kQueueing), 2);
     EXPECT_EQ(seg(split.witness.totals, SegmentKind::kHandler), 2);
@@ -113,7 +123,7 @@ TEST(CriticalPath, HopRecordSplitsTransitFromSwitchQueueing) {
     EXPECT_EQ(seg(split.link_blame[0].totals, SegmentKind::kTransit), 6);
 
     std::vector<sim::TraceRecord> no_hop = {with_hop[0], with_hop[2]};
-    const CriticalPathReport folded = critical_path(no_hop);
+    const CriticalPathReport folded = report_of(no_hop);
     EXPECT_EQ(seg(folded.witness.totals, SegmentKind::kTransit), 8);
     EXPECT_EQ(seg(folded.witness.totals, SegmentKind::kQueueing), 0);
 }
@@ -130,7 +140,7 @@ TEST(CriticalPath, TimerCookieKindSelectsRetryBackoff) {
                          /*armed=*/10));
         rs.push_back(rec(sim::TraceKind::kSend, 30, 1, 2, 0, /*parent=*/1, 30));
         rs.push_back(rec(sim::TraceKind::kDeliver, 35, 2, 2, 0, /*busy=*/2, 30));
-        return critical_path(rs);
+        return report_of(rs);
     };
     const CriticalPathReport retry = run(0x25);  // kind nibble 5
     EXPECT_EQ(retry.witness.latency(), 35);
@@ -157,7 +167,7 @@ TEST(CriticalPath, UnanchoredTimerWithoutRootEntries) {
     rs.push_back(rec(sim::TraceKind::kDeliver, 35, 2, 2, 0, /*busy=*/1, 30));
     CriticalPathConfig cfg;
     cfg.anchor_root_deliveries = false;
-    const CriticalPathReport report = critical_path(rs, cfg);
+    const CriticalPathReport report = report_of(rs, cfg);
     EXPECT_EQ(report.unanchored_timers, 1u);
     EXPECT_EQ(report.witness.root_start, 10);
     EXPECT_EQ(report.witness.latency(), 25);
@@ -169,7 +179,7 @@ TEST(CriticalPath, AnchorClampsAreCountedNotSmeared) {
     // clamp, count, and keep the tiling exact.
     std::vector<sim::TraceRecord> rs;
     rs.push_back(rec(sim::TraceKind::kDeliver, 5, 1, 1, 0, /*busy=*/0, /*sent=*/9));
-    const CriticalPathReport report = critical_path(rs);
+    const CriticalPathReport report = report_of(rs);
     EXPECT_GE(report.clamped, 1u);
     EXPECT_EQ(report.witness.totals.total(), report.witness.latency());
 }
@@ -180,7 +190,7 @@ TEST(CriticalPath, WitnessTieKeepsFirstInMergeOrder) {
     std::vector<sim::TraceRecord> rs;
     rs.push_back(rec(sim::TraceKind::kDeliver, 10, 1, 1, 0, 1, 0));
     rs.push_back(rec(sim::TraceKind::kDeliver, 10, 2, 2, 0, 1, 3));
-    const CriticalPathReport report = critical_path(rs);
+    const CriticalPathReport report = report_of(rs);
     EXPECT_EQ(report.witness.root, 1u);  // strict > keeps the first
     EXPECT_EQ(report.witness.end, 10);
 }
@@ -192,7 +202,7 @@ TEST(CriticalPath, TopNSortsByLatencyThenRootAndTruncates) {
     rs.push_back(rec(sim::TraceKind::kDeliver, 40, 3, 7, 0, 1, 20));  // latency 20
     CriticalPathConfig cfg;
     cfg.top = 2;
-    const CriticalPathReport report = critical_path(rs, cfg);
+    const CriticalPathReport report = report_of(rs, cfg);
     ASSERT_EQ(report.top.size(), 2u);
     EXPECT_EQ(report.top[0].root, 3u);
     EXPECT_EQ(report.top[0].latency(), 30);
@@ -209,7 +219,7 @@ TEST(CriticalPath, WitnessOnlyModeTracksNoTrees) {
     rs.push_back(rec(sim::TraceKind::kDeliver, 30, 2, 2, 0, 1, 0));
     CriticalPathConfig cfg;
     cfg.top = 0;
-    const CriticalPathReport report = critical_path(rs, cfg);
+    const CriticalPathReport report = report_of(rs, cfg);
     EXPECT_TRUE(report.top.empty());
     EXPECT_EQ(report.roots_tracked, 0u);
     EXPECT_EQ(report.witness.latency(), 30);
@@ -225,7 +235,7 @@ TEST(CriticalPath, HorizonPrunesStaleChainsAndCountsThem) {
     rs.push_back(rec(sim::TraceKind::kTimer, 10'050, 1, 1, 0, 1, 10'040));
     CriticalPathConfig cfg;
     cfg.horizon = 100;
-    const CriticalPathReport report = critical_path(rs, cfg);
+    const CriticalPathReport report = report_of(rs, cfg);
     EXPECT_GE(report.live_pruned, 1u);
     EXPECT_EQ(report.unanchored_timers, 1u);  // its chain state was swept
 }
@@ -242,8 +252,8 @@ TEST(CriticalPath, BlameIsExactUnderPruning) {
     }
     CriticalPathConfig tight;
     tight.horizon = 50;
-    const CriticalPathReport pruned = critical_path(rs, tight);
-    const CriticalPathReport full = critical_path(rs);
+    const CriticalPathReport pruned = report_of(rs, tight);
+    const CriticalPathReport full = report_of(rs);
     ASSERT_EQ(pruned.node_blame.size(), full.node_blame.size());
     for (std::size_t i = 0; i < full.node_blame.size(); ++i) {
         EXPECT_EQ(pruned.node_blame[i].key, full.node_blame[i].key);
@@ -257,7 +267,7 @@ TEST(CriticalPath, LiveCapSkipsAndCounts) {
     rs.push_back(rec(sim::TraceKind::kSend, 10, 1, 2, 0, /*parent=*/1, 10));
     CriticalPathConfig cfg;
     cfg.max_live = 1;
-    const CriticalPathReport report = critical_path(rs, cfg);
+    const CriticalPathReport report = report_of(rs, cfg);
     EXPECT_EQ(report.live_skipped, 1u);
 }
 
@@ -267,7 +277,7 @@ TEST(CriticalPath, BlameCapEvictsAndCounts) {
         rs.push_back(rec(sim::TraceKind::kDeliver, 10, u, u + 1, 0, 1, 0));
     CriticalPathConfig cfg;
     cfg.blame_capacity = 3;
-    const CriticalPathReport report = critical_path(rs, cfg);
+    const CriticalPathReport report = report_of(rs, cfg);
     EXPECT_EQ(report.node_blame.size(), 3u);
     EXPECT_GE(report.blame_evicted, 5u);
 }
@@ -278,7 +288,7 @@ TEST(CriticalPath, ToPathStatsFoldsReportCounters) {
     std::vector<sim::TraceRecord> rs;
     rs.push_back(rec(sim::TraceKind::kDeliver, 10, 1, 1, 0, 2, 0));
     rs.push_back(rec(sim::TraceKind::kTimer, 30, 1, 1, 0x25, 1, 10));
-    const CriticalPathReport report = critical_path(rs);
+    const CriticalPathReport report = report_of(rs);
     const cost::CriticalPathStats stats = to_path_stats(report);
     EXPECT_TRUE(stats.computed);
     EXPECT_EQ(stats.witness.end, report.witness.end);
@@ -291,7 +301,7 @@ TEST(CriticalPath, ToPathStatsFoldsReportCounters) {
 TEST(CriticalPath, BoundAuditPassesWithinBoundAndTripsBeyond) {
     std::vector<sim::TraceRecord> rs;
     rs.push_back(rec(sim::TraceKind::kDeliver, 25, 1, 1, 0, 2, 0));
-    const cost::CriticalPathStats stats = to_path_stats(critical_path(rs));
+    const cost::CriticalPathStats stats = to_path_stats(report_of(rs));
 
     BoundAudit ok("cp");
     ok.critical_path(stats, 25.0);
@@ -407,9 +417,11 @@ TEST(CriticalPath, LineageIndexAncestryUnderDuplication) {
     const DupRun spilled = run_dup_scenario(dir);
     ASSERT_EQ(spilled.spill_paths.size(), 2u);
 
+    sim::SpillMerge merge;
     LineageIndex idx;
     std::string error;
-    ASSERT_TRUE(idx.build(spilled.spill_paths, &error)) << error;
+    ASSERT_TRUE(merge.open(spilled.spill_paths, &error)) << error;
+    ASSERT_TRUE(idx.build(merge, &error)) << error;
     ASSERT_GT(idx.size(), 0u);
 
     // Duplicated copies re-deliver existing lineages but never mint new
@@ -450,22 +462,33 @@ TEST(CriticalPath, MultiDirectorySpillInputsMergeLikeOneDirectory) {
 
     // Index, attribution and chain collection must all be invariant to
     // how the same files are spread over directories.
+    // Each query reads a fresh merge of one of the two file lists.
+    sim::SpillMerge merge;
+    const auto one_dir = [&]() -> sim::RecordSource& {
+        EXPECT_TRUE(merge.open(spilled.spill_paths, &error)) << error;
+        return merge;
+    };
+    const auto two_dirs = [&]() -> sim::RecordSource& {
+        EXPECT_TRUE(merge.open(multi, &error)) << error;
+        return merge;
+    };
     LineageIndex one, two;
-    ASSERT_TRUE(one.build(spilled.spill_paths, &error)) << error;
-    ASSERT_TRUE(two.build(multi, &error)) << error;
+    ASSERT_TRUE(one.build(one_dir(), &error)) << error;
+    ASSERT_TRUE(two.build(two_dirs(), &error)) << error;
     ASSERT_EQ(one.size(), two.size());
 
     CriticalPathReport r_one, r_two;
-    ASSERT_TRUE(spill_critical_path(spilled.spill_paths, {}, r_one, &error)) << error;
-    ASSERT_TRUE(spill_critical_path(multi, {}, r_two, &error)) << error;
+    ASSERT_TRUE(critical_path(one_dir(), {}, r_one, &error)) << error;
+    ASSERT_TRUE(critical_path(two_dirs(), {}, r_two, &error)) << error;
     EXPECT_EQ(format_critical_path(r_one), format_critical_path(r_two));
     ASSERT_TRUE(r_one.has_witness);
 
     std::vector<sim::TraceRecord> chain_one, chain_two;
-    ASSERT_TRUE(spill_chain_records(spilled.spill_paths, one, r_one.witness.terminal,
-                                    chain_one, &error))
+    ASSERT_TRUE(chain_records(one_dir(), one.ancestry(r_one.witness.terminal), chain_one,
+                              &error))
         << error;
-    ASSERT_TRUE(spill_chain_records(multi, two, r_two.witness.terminal, chain_two, &error))
+    ASSERT_TRUE(chain_records(two_dirs(), two.ancestry(r_two.witness.terminal), chain_two,
+                              &error))
         << error;
     ASSERT_FALSE(chain_one.empty());
     ASSERT_EQ(chain_one.size(), chain_two.size());

@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,12 +17,29 @@
 #include "obs/metrics_export.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/trace_query.hpp"
+#include "sim/record_source.hpp"
 
 namespace fastnet::obs {
 namespace {
 
 using sim::TraceKind;
 using sim::TraceRecord;
+
+/// The query API over records held in memory.
+std::vector<TraceRecord> filtered(std::span<const TraceRecord> records,
+                                  const TraceFilter& f) {
+    sim::SpanSource src(records);
+    std::vector<TraceRecord> out;
+    EXPECT_TRUE(filter_records(src, f, out));
+    return out;
+}
+
+std::vector<CrashEpisode> episodes_of(std::span<const TraceRecord> records) {
+    sim::SpanSource src(records);
+    std::vector<CrashEpisode> out;
+    EXPECT_TRUE(crash_episodes(src, out));
+    return out;
+}
 
 // ---- JSON parser -------------------------------------------------------
 
@@ -286,7 +304,7 @@ TEST(Causal, ChaosDropDiagnosedFromExportedJsonAlone) {
     ASSERT_TRUE(load_canonical(json, loaded, &err)) << err;
 
     const auto drops =
-        filter_records(loaded.records, {.kind = TraceKind::kDrop});
+        filtered(loaded.records, {.kind = TraceKind::kDrop});
     ASSERT_EQ(drops.size(), 1u);
     const TraceRecord& drop = drops[0];
     EXPECT_EQ(drop.flag,
@@ -301,7 +319,14 @@ TEST(Causal, ChaosDropDiagnosedFromExportedJsonAlone) {
     ASSERT_EQ(ancestry.size(), 2u) << "expected root send + relayed send";
     EXPECT_EQ(ancestry.back(), drop.lineage);
 
-    const auto chain = causal_chain(loaded.records, drop.lineage);
+    // The lineage index and the chain query, over the loaded records.
+    LineageIndex index;
+    sim::SpanSource all(loaded.records);
+    ASSERT_TRUE(index.build(all));
+    EXPECT_EQ(index.ancestry(drop.lineage), ancestry);
+    sim::SpanSource again(loaded.records);
+    std::vector<TraceRecord> chain;
+    ASSERT_TRUE(chain_records(again, ancestry, chain));
     ASSERT_GE(chain.size(), 4u);  // send(0), hop, deliver(1), send(1), drop
     EXPECT_EQ(chain.front().kind, TraceKind::kSend);
     EXPECT_EQ(chain.front().node, 0u);
@@ -329,18 +354,37 @@ TEST(Causal, DuplicateInheritsLineage) {
     cluster.run();
 
     const auto records = cluster.merged_trace();
-    const auto dups = filter_records(records, {.kind = TraceKind::kDup});
+    const auto dups = filtered(records, {.kind = TraceKind::kDup});
     ASSERT_FALSE(dups.empty());
-    const auto sends = filter_records(records, {.kind = TraceKind::kSend});
+    const auto sends = filtered(records, {.kind = TraceKind::kSend});
     ASSERT_EQ(sends.size(), 1u);
     for (const TraceRecord& d : dups)
         EXPECT_EQ(d.lineage, sends[0].lineage)
             << "a link-layer duplicate is causally its original's lineage";
     // Both the original and the duplicate arrived, under one lineage.
-    const auto delivers = filter_records(records, {.kind = TraceKind::kDeliver});
+    const auto delivers = filtered(records, {.kind = TraceKind::kDeliver});
     ASSERT_EQ(delivers.size(), 2u);
     EXPECT_EQ(delivers[0].lineage, sends[0].lineage);
     EXPECT_EQ(delivers[1].lineage, sends[0].lineage);
+}
+
+TEST(Causal, IndexAncestryCutsCyclesLikeTheReference) {
+    // Real lineage ids cannot cycle, but a hand-edited export can: 5 and
+    // 6 name each other, 7 names itself, 8 hangs off the 5-6 cycle. The
+    // index must stop where the linear-scan reference stops.
+    const std::vector<TraceRecord> records = {
+        {.at = 1, .node = 0, .kind = TraceKind::kSend, .lineage = 5, .b = 6},
+        {.at = 2, .node = 0, .kind = TraceKind::kSend, .lineage = 6, .b = 5},
+        {.at = 3, .node = 0, .kind = TraceKind::kSend, .lineage = 7, .b = 7},
+        {.at = 4, .node = 0, .kind = TraceKind::kSend, .lineage = 8, .b = 5},
+    };
+    LineageIndex index;
+    sim::SpanSource src(records);
+    ASSERT_TRUE(index.build(src));
+    for (const std::uint64_t lineage : {0, 5, 6, 7, 8, 9})
+        EXPECT_EQ(index.ancestry(lineage), lineage_ancestry(records, lineage))
+            << "lineage " << lineage;
+    EXPECT_EQ(index.ancestry(8), (std::vector<std::uint64_t>{6, 5, 8}));
 }
 
 TEST(Causal, ClusterChromeExportIsSchemaValid) {
@@ -385,19 +429,23 @@ std::vector<TraceRecord> crash_history() {
 
 TEST(Query, FilterIsConjunctive) {
     const auto h = crash_history();
-    EXPECT_EQ(filter_records(h, {}).size(), h.size());
-    EXPECT_EQ(filter_records(h, {.node = 2}).size(), 3u);
-    EXPECT_EQ(filter_records(h, {.kind = TraceKind::kDrop}).size(), 2u);
-    EXPECT_EQ(filter_records(h, {.lineage = 3}).size(), 2u);
-    EXPECT_EQ(filter_records(h, {.from = 12, .to = 20}).size(), 3u);
-    EXPECT_EQ(filter_records(h, {.node = 2, .from = 20}).size(), 2u);
+    EXPECT_EQ(filtered(h, {}).size(), h.size());
+    EXPECT_EQ(filtered(h, {.node = 2}).size(), 3u);
+    EXPECT_EQ(filtered(h, {.kind = TraceKind::kDrop}).size(), 2u);
+    EXPECT_EQ(filtered(h, {.lineage = 3}).size(), 2u);
+    EXPECT_EQ(filtered(h, {.from = 12, .to = 20}).size(), 3u);
+    EXPECT_EQ(filtered(h, {.node = 2, .from = 20}).size(), 2u);
     EXPECT_EQ(
-        filter_records(h, {.node = 2, .kind = TraceKind::kDeliver, .to = 20}).size(),
+        filtered(h, {.node = 2, .kind = TraceKind::kDeliver, .to = 20}).size(),
         0u);
 }
 
 TEST(Query, KindCountsIndexByKind) {
-    const auto counts = kind_counts(crash_history());
+    const auto h = crash_history();
+    sim::SpanSource src(h);
+    TraceSummary summary;
+    ASSERT_TRUE(summarize(src, summary));
+    const auto& counts = summary.counts;
     EXPECT_EQ(counts[static_cast<unsigned>(TraceKind::kSend)], 1u);
     EXPECT_EQ(counts[static_cast<unsigned>(TraceKind::kDrop)], 2u);
     EXPECT_EQ(counts[static_cast<unsigned>(TraceKind::kDeliver)], 2u);
@@ -405,7 +453,7 @@ TEST(Query, KindCountsIndexByKind) {
 }
 
 TEST(Query, CrashEpisodeReconstruction) {
-    const auto episodes = crash_episodes(crash_history());
+    const auto episodes = episodes_of(crash_history());
     ASSERT_EQ(episodes.size(), 1u);
     const CrashEpisode& ep = episodes[0];
     EXPECT_EQ(ep.node, 2u);
@@ -415,7 +463,7 @@ TEST(Query, CrashEpisodeReconstruction) {
     EXPECT_EQ(ep.deliveries_after_restart, 1u);  // node 2's own, not node 1's
     EXPECT_EQ(ep.settled_at, 30);
 
-    const std::string report = format_reconvergence(crash_history());
+    const std::string report = format_reconvergence(episodes_of(crash_history()));
     EXPECT_NE(report.find("node 2"), std::string::npos);
     EXPECT_NE(report.find("t=10"), std::string::npos);
     EXPECT_NE(report.find("drops while down: 2"), std::string::npos);
@@ -426,7 +474,7 @@ TEST(Query, UnrestartedCrashHasOpenEpisode) {
         {.at = 4, .node = 1, .kind = TraceKind::kCrash, .a = 0},
         {.at = 9, .node = kNoNode, .kind = TraceKind::kDrop, .lineage = 7},
     };
-    const auto episodes = crash_episodes(h);
+    const auto episodes = episodes_of(h);
     ASSERT_EQ(episodes.size(), 1u);
     EXPECT_EQ(episodes[0].restarted_at, kNever);
     EXPECT_EQ(episodes[0].drops_while_down, 1u);

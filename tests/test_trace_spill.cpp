@@ -14,7 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "obs/spill_query.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/trace_export.hpp"
+#include "obs/trace_query.hpp"
 #include "sim/trace_spill.hpp"
 
 namespace fastnet::sim {
@@ -231,44 +233,45 @@ constexpr std::size_t kFirstRecord = 16 + 16;
 constexpr std::size_t kKindInRecord = 8 * 6 + 4 + 4;
 constexpr std::size_t kRecordBytes = kKindInRecord + 2;
 
-/// Every streaming query over `path` must fail with an error naming the
+/// Every query over a merge of `path` must fail with an error naming the
 /// file, its first segment and `reason`.
 void expect_every_query_fails(const std::string& path, const std::string& reason) {
-    const std::vector<std::string> paths = {path};
     const auto names_segment = [&](const std::string& error) {
         return error.find(path) != std::string::npos &&
                error.find("segment 0") != std::string::npos &&
                error.find(reason) != std::string::npos;
     };
+    // Each query reads a fresh merge; the file opens, and the corruption
+    // surfaces part-way through the stream.
+    SpillMerge merge;
     std::string error;
-    obs::SpillSummary summary;
-    EXPECT_FALSE(obs::spill_summarize(paths, summary, &error))
+    const auto reopened = [&]() -> RecordSource& {
+        EXPECT_TRUE(merge.open({path}, &error)) << error;
+        error.clear();
+        return merge;
+    };
+    obs::TraceSummary summary;
+    EXPECT_FALSE(obs::summarize(reopened(), summary, &error))
         << summary.records << " record(s) read as valid";
     EXPECT_TRUE(names_segment(error)) << error;
 
     const obs::ExportMeta meta{"miscounted", 3, {}};
     std::ostringstream canonical, chrome;
-    error.clear();
-    EXPECT_FALSE(obs::spill_canonical_json(paths, meta, canonical, &error));
+    EXPECT_FALSE(obs::write_canonical(reopened(), meta, 0, 0, 0, canonical, &error));
     EXPECT_TRUE(names_segment(error)) << error;
-    error.clear();
-    EXPECT_FALSE(obs::spill_chrome_json(paths, meta, chrome, &error));
+    EXPECT_FALSE(obs::write_chrome(reopened(), meta, chrome, &error));
     EXPECT_TRUE(names_segment(error)) << error;
 
     std::vector<TraceRecord> kept;
-    error.clear();
-    EXPECT_FALSE(obs::spill_collect(paths, [](const TraceRecord&) { return true; }, kept,
-                                    &error));
+    EXPECT_FALSE(obs::filter_records(reopened(), {}, kept, &error));
     EXPECT_TRUE(names_segment(error)) << error;
 
     obs::CriticalPathReport report;
-    error.clear();
-    EXPECT_FALSE(obs::spill_critical_path(paths, {}, report, &error));
+    EXPECT_FALSE(obs::critical_path(reopened(), {}, report, &error));
     EXPECT_TRUE(names_segment(error)) << error;
 
     obs::LineageIndex index;
-    error.clear();
-    EXPECT_FALSE(index.build(paths, &error));
+    EXPECT_FALSE(index.build(reopened(), &error));
     EXPECT_TRUE(names_segment(error)) << error;
 }
 
@@ -324,6 +327,21 @@ TEST(SpillReader, PayloadShorterThanFirstRecordFailsOpen) {
         << error;
     EXPECT_EQ(merge.error(), error);
     std::filesystem::remove(path);
+}
+
+TEST(SpillReader, QueryOverAFailedOpenFails) {
+    // A merge whose files do not open is an empty stream that carries the
+    // reason, so a query handed it fails instead of answering from zero
+    // records.
+    SpillMerge merge;
+    std::string error;
+    EXPECT_FALSE(merge.open({"test_spill_reader_missing.fnspill"}, &error));
+    EXPECT_EQ(merge.error(), error);
+    obs::TraceSummary summary;
+    std::string query_error;
+    EXPECT_FALSE(obs::summarize(merge, summary, &query_error));
+    EXPECT_EQ(query_error, error);
+    EXPECT_EQ(summary.records, 0u);
 }
 
 }  // namespace

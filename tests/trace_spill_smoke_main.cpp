@@ -4,20 +4,25 @@
 // crashes, restarts, link flaps, loss) through node::ParallelCluster
 // twice — once with the trace fully resident, once spilling to disk
 // under a deliberately tight resident budget — and asserts in-process
-// that the streamed spill exports (obs/spill_query.hpp) are
-// byte-identical to the in-memory merged exports, that the lineage
-// index sidecar reproduces obs::lineage_ancestry exactly, and that a
-// crash-truncated spill file (a run killed mid-segment) still opens,
-// reports itself recovered, and merges every complete segment.
+// that the exports and the critical path streamed from the spill merge
+// are byte-identical to those of the in-memory merged records, that the
+// lineage index built from the spill reproduces obs::lineage_ancestry
+// exactly, and that a crash-truncated spill file (a run killed
+// mid-segment) still opens, reports itself recovered, and merges every
+// complete segment. The scenario runs twice more with a latency SLO
+// monitor whose ceiling the run breaches, so the CLI's --violations has
+// flagged chains to reconstruct.
 //
 // scripts/trace_spill_smoke.sh runs this binary across a
 // (shards x threads) grid, byte-diffs the written exports across the
-// grid, and drives fastnet_trace over the spill directory.
+// grid, and drives fastnet_trace over each export and its spill
+// directory.
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,9 +33,9 @@
 #include "fault/injector.hpp"
 #include "graph/generators.hpp"
 #include "node/parallel_cluster.hpp"
+#include "obs/critical_path.hpp"
 #include "obs/metrics_export.hpp"
 #include "obs/monitor.hpp"
-#include "obs/spill_query.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/trace_query.hpp"
 #include "paris/call_setup.hpp"
@@ -42,6 +47,9 @@ using namespace fastnet;
 namespace {
 
 constexpr std::uint64_t kSeed = 2;
+/// Path-latency ceiling of the SLO run: low enough that a few of the
+/// scenario's causal chains breach it.
+constexpr Tick kSloCeiling = 40;
 
 graph::Graph make_shape() {
     Rng g(kSeed * 131 + 7);
@@ -61,9 +69,10 @@ struct RunOutput {
 /// The pcalls/seed2 scenario of the parallel chaos sweep: call setup
 /// with retries and leases under crash/restart churn — every record
 /// kind the exporters know shows up, including kCallEvent for the CLI's
-/// --calls and kCrash/kRestart for --reconvergence.
+/// --calls and kCrash/kRestart for --reconvergence. A nonzero
+/// `slo_ceiling` adds an obs::LatencySloMonitor at that ceiling.
 RunOutput run_case(unsigned shards, unsigned threads, const std::string& spill_dir,
-                   std::size_t budget_bytes) {
+                   std::size_t budget_bytes, Tick slo_ceiling = 0) {
     auto g = std::make_shared<graph::Graph>(make_shape());
 
     fault::FaultModel model;
@@ -99,7 +108,10 @@ RunOutput run_case(unsigned shards, unsigned threads, const std::string& spill_d
     cfg.threads = threads;
     cfg.net.hop_delay_min = 1;
     cfg.net.loss_ppm = model.loss_ppm;
-    cfg.monitor_setup = [](obs::MonitorHub& hub) { obs::add_standard_monitors(hub); };
+    cfg.monitor_setup = [slo_ceiling](obs::MonitorHub& hub) {
+        obs::add_standard_monitors(hub);
+        if (slo_ceiling != 0) hub.add(std::make_unique<obs::LatencySloMonitor>(slo_ceiling));
+    };
     if (spill_dir.empty()) {
         // Resident reference: a ring that cannot wrap for this workload.
         cfg.trace_capacity = std::size_t{1} << 20;
@@ -131,9 +143,11 @@ RunOutput run_case(unsigned shards, unsigned threads, const std::string& spill_d
         out.canonical = obs::canonical_trace_json(out.records, meta, out.total_recorded,
                                                   0, 0);
         out.chrome = obs::chrome_trace_json(out.records, meta);
-        // Price the run's latency: in-memory engine here, streaming
-        // spill engine in the other branch — main() byte-diffs the two.
-        const obs::CriticalPathReport cp = obs::critical_path(out.records);
+        // Price the run's latency over the in-memory records here, over
+        // the spill merge in the other branch — main() byte-diffs the two.
+        sim::SpanSource records(out.records);
+        obs::CriticalPathReport cp;
+        FASTNET_ENSURES(obs::critical_path(records, {}, cp));
         out.critical_path = obs::format_critical_path(cp);
         cost::Metrics metrics = cluster.merged_metrics();
         metrics.set_critical_path(obs::to_path_stats(cp));
@@ -146,15 +160,23 @@ RunOutput run_case(unsigned shards, unsigned threads, const std::string& spill_d
         std::string error;
         const std::vector<std::string> files = sim::spill_files(spill_dir, &error);
         FASTNET_ENSURES_MSG(files.size() == shards, "one spill file per shard expected");
+        // Each pass reads a fresh merge of the files.
+        sim::SpillMerge merge;
         std::ostringstream canonical, chrome;
-        FASTNET_ENSURES_MSG(obs::spill_canonical_json(files, meta, canonical, &error),
+        FASTNET_ENSURES_MSG(merge.open(files, &error) &&
+                                obs::write_canonical(merge, meta, merge.totals().total_recorded,
+                                                     merge.totals().dropped,
+                                                     merge.totals().detail_dropped,
+                                                     canonical, &error),
                             "spill canonical export failed");
-        FASTNET_ENSURES_MSG(obs::spill_chrome_json(files, meta, chrome, &error),
+        FASTNET_ENSURES_MSG(merge.open(files, &error) &&
+                                obs::write_chrome(merge, meta, chrome, &error),
                             "spill chrome export failed");
         out.canonical = canonical.str();
         out.chrome = chrome.str();
         obs::CriticalPathReport cp;
-        FASTNET_ENSURES_MSG(obs::spill_critical_path(files, {}, cp, &error),
+        FASTNET_ENSURES_MSG(merge.open(files, &error) &&
+                                obs::critical_path(merge, {}, cp, &error),
                             "spill critical-path pass failed");
         out.critical_path = obs::format_critical_path(cp);
         cost::Metrics metrics = cluster.merged_metrics();
@@ -251,31 +273,38 @@ int main(int argc, char** argv) {
                         "critical-path report differs between the in-memory engine "
                         "and the streaming spill engine");
 
-    // Lineage index sidecar == the in-memory ancestry relation.
+    // The lineage index built from the spill == the in-memory ancestry
+    // relation.
     std::string error;
     const std::vector<std::string> files = sim::spill_files(spill_dir, &error);
+    sim::SpillMerge merge;
     obs::LineageIndex idx;
-    FASTNET_ENSURES_MSG(idx.build(files, &error), "lineage index build failed");
-    FASTNET_ENSURES_MSG(idx.save(obs::lineage_index_path(spill_dir), &error),
-                        "lineage index save failed");
-    obs::LineageIndex loaded;
-    FASTNET_ENSURES_MSG(loaded.load(obs::lineage_index_path(spill_dir), &error),
-                        "lineage index load failed");
+    FASTNET_ENSURES_MSG(merge.open(files, &error) && idx.build(merge, &error),
+                        "lineage index build failed");
     unsigned checked = 0;
     for (const sim::TraceRecord& r : resident.records) {
         if (r.kind != sim::TraceKind::kSend || checked >= 200) continue;
         ++checked;
         FASTNET_ENSURES_MSG(
-            loaded.ancestry(r.lineage) == obs::lineage_ancestry(resident.records, r.lineage),
-            "sidecar ancestry diverges from obs::lineage_ancestry");
+            idx.ancestry(r.lineage) == obs::lineage_ancestry(resident.records, r.lineage),
+            "index ancestry diverges from obs::lineage_ancestry");
     }
     FASTNET_ENSURES_MSG(checked > 0, "scenario recorded no sends");
 
     check_crash_recovery(files.front(), dir + "/crash.fnspill");
 
+    // The SLO run: its export and its spill directory, for the CLI's
+    // --violations to be diffed across the two.
+    const RunOutput slo = run_case(shards, threads, "", 0, kSloCeiling);
+    const RunOutput slo_spilled =
+        run_case(shards, threads, dir + "/slo_spill", 16 * 1024, kSloCeiling);
+    FASTNET_ENSURES_MSG(slo.canonical == slo_spilled.canonical,
+                        "canonical export differs between resident and spilled SLO runs");
+
     if (!write_file(dir + "/canonical.json", resident.canonical) ||
         !write_file(dir + "/chrome.json", resident.chrome) ||
-        !write_file(dir + "/metrics.json", resident.metrics)) {
+        !write_file(dir + "/metrics.json", resident.metrics) ||
+        !write_file(dir + "/slo.json", slo.canonical)) {
         std::cerr << "cannot write exports into " << dir << "\n";
         return 1;
     }

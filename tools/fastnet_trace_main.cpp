@@ -1,11 +1,13 @@
-// fastnet_trace: inspect exported traces from the command line.
+// fastnet_trace: inspect traces from the command line.
 //
-// Reads a canonical trace export (see src/obs/trace_export.hpp) and
-// filters, summarizes or causally reconstructs it — everything the
-// in-process query API (src/obs/trace_query.hpp) offers, available
-// offline on the file alone. `--check` validates either export format
-// (canonical or Chrome trace-event JSON) and is what the TraceSmoke
-// ctest runs against freshly exported files.
+// Reads a canonical trace export (see src/obs/trace_export.hpp), a trace
+// spill file or a directory of per-shard spill files (see
+// src/sim/trace_spill.hpp), and filters, summarizes or causally
+// reconstructs it with the query API of src/obs/trace_query.hpp — what
+// is diagnosable in-process is diagnosable from the files alone.
+// `--check` validates either export format (canonical or Chrome
+// trace-event JSON) or spill data, and is what the TraceSmoke ctest runs
+// against freshly exported files.
 //
 //   fastnet_trace trace.json                      # print all records
 //   fastnet_trace trace.json --node 3 --kind drop # filter
@@ -17,17 +19,18 @@
 //   fastnet_trace trace.json --calls              # per-call leg reconstruction
 //   fastnet_trace trace.json --check              # schema validation only
 //
-// FILE may also be a trace spill file or a directory of per-shard spill
-// files (see src/sim/trace_spill.hpp). Every query then streams the
-// deterministic k-way merge instead of loading an export; the causal
-// queries (--chain, --violations) resolve ancestry through the lineage
-// index sidecar (built and cached on first use) rather than scanning
-// the merged records per lineage.
+// Every mode reads FILE as one record stream (sim::RecordSource): an
+// export is loaded once, spill data streams the deterministic merge of
+// its segments. So each mode is written once, gives the same answer for
+// a run's export and its spill files, and holds no more of a spilled
+// trace than its answer. The causal modes build the lineage index in
+// memory, during a pass they make anyway. One mode runs per call: the
+// first of --check, --critical-path, --chain, --reconvergence, --calls,
+// --violations and --summary that is given, else the filter.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -36,11 +39,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/critical_path.hpp"
 #include "obs/json.hpp"
-#include "obs/spill_query.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/trace_query.hpp"
 #include "paris/call_setup.hpp"
+#include "sim/record_source.hpp"
 #include "sim/trace_spill.hpp"
 
 using namespace fastnet;
@@ -96,15 +100,35 @@ int run_check(const std::string& path, const std::string& text) {
     return 0;
 }
 
-/// TraceFilter as a single-record predicate (the streaming paths filter
-/// during the merge instead of materializing first).
-bool matches(const sim::TraceRecord& r, const obs::TraceFilter& f) {
-    if (f.node && r.node != *f.node) return false;
-    if (f.kind && r.kind != *f.kind) return false;
-    if (f.lineage && r.lineage != *f.lineage) return false;
-    if (f.from && r.at < *f.from) return false;
-    if (f.to && r.at > *f.to) return false;
-    return true;
+/// FILE's records. A spill file or directory streams the merge of its
+/// segments; a canonical export is loaded once and read from memory.
+struct Input {
+    std::string path;
+    std::vector<std::string> files;  ///< Spill inputs; empty for an export.
+    obs::LoadedTrace trace;          ///< For spill input only meta.name (the path).
+    sim::SpillMerge merge;
+    std::optional<sim::SpanSource> memory;
+
+    bool spill() const { return !files.empty(); }
+
+    /// A fresh pass over the records. A merge that fails to open is an
+    /// empty stream whose error() says why, so the query fails with it.
+    sim::RecordSource& records() {
+        if (!spill()) return memory.emplace(trace.records);
+        merge.open(files);
+        return merge;
+    }
+
+    /// Reports a failed pass; returns the exit status.
+    int fail(const std::string& error, int status = 1) const {
+        std::cerr << path << ": " << error << "\n";
+        return status;
+    }
+};
+
+void print_lineages(const std::vector<std::uint64_t>& lineages) {
+    for (const std::uint64_t lin : lineages) std::cout << " " << lin;
+    std::cout << "\n";
 }
 
 /// Per-call leg reconstruction: every call-event record carries the
@@ -141,17 +165,113 @@ int print_calls(const std::vector<sim::TraceRecord>& found) {
     return 0;
 }
 
-/// Loads the lineage index sidecar if present, else builds it from the
-/// spill data and caches it for the next query (a failed cache write is
-/// not an error — the index is already in memory).
-bool load_lineage_index(const std::string& path, const std::vector<std::string>& files,
-                        obs::LineageIndex& idx, std::string* error) {
-    const std::string sidecar = obs::lineage_index_path(path);
-    std::error_code ec;
-    if (std::filesystem::exists(sidecar, ec) && idx.load(sidecar)) return true;
-    if (!idx.build(files, error)) return false;
-    idx.save(sidecar);
-    return true;
+/// The records `filter` matches, one per line or grouped per call.
+int print_matches(Input& in, const obs::TraceFilter& filter, bool per_call) {
+    std::vector<sim::TraceRecord> found;
+    std::string error;
+    if (!obs::filter_records(in.records(), filter, found, &error)) return in.fail(error);
+    if (per_call) return print_calls(found);
+    std::cout << obs::format_records(found);
+    return 0;
+}
+
+/// --summary, and --check over spill data: one pass decodes every
+/// segment.
+int print_summary(Input& in, bool check) {
+    obs::TraceSummary s;
+    std::string error;
+    if (!obs::summarize(in.records(), s, &error)) return in.fail(error);
+    const sim::SpillStats& totals = in.merge.totals();
+    if (check) {
+        std::cout << in.path << ": valid spill data (" << in.merge.file_count()
+                  << " file(s), " << s.records << " record(s), " << totals.total_recorded
+                  << " recorded" << (in.merge.truncated() ? ", tail recovered" : "")
+                  << ")\n";
+        return 0;
+    }
+    if (in.spill()) {
+        std::cout << "spill " << in.path << ": " << in.merge.file_count() << " file(s), "
+                  << s.records << " records (" << totals.total_recorded << " recorded, "
+                  << totals.dropped << " dropped, " << totals.spilled_records
+                  << " spilled)";
+        if (s.records != 0) std::cout << " t=[" << s.first_at << ", " << s.last_at << "]";
+        if (in.merge.truncated()) std::cout << " [tail recovered]";
+        std::cout << "\n";
+    } else {
+        const obs::LoadedTrace& t = in.trace;
+        std::cout << "trace \"" << t.meta.name << "\": " << t.meta.nodes << " nodes, "
+                  << t.meta.edges.size() << " edges, " << s.records << " records ("
+                  << t.total_recorded << " recorded, " << t.dropped << " dropped)\n";
+    }
+    for (unsigned k = 0; k < sim::kTraceKindCount; ++k)
+        if (s.counts[k] != 0)
+            std::cout << "  " << sim::trace_kind_name(static_cast<sim::TraceKind>(k)) << ": "
+                      << s.counts[k] << "\n";
+    return 0;
+}
+
+/// --chain: the ancestry line, then every record of those lineages.
+int print_chain(Input& in, std::uint64_t lineage) {
+    obs::LineageIndex index;
+    std::string error;
+    if (!index.build(in.records(), &error)) return in.fail(error);
+    const std::vector<std::uint64_t> ancestry = index.ancestry(lineage);
+    if (ancestry.empty()) {
+        std::cerr << "lineage " << lineage << " does not appear in the trace\n";
+        return 1;
+    }
+    std::cout << "ancestry:";
+    print_lineages(ancestry);
+    std::vector<sim::TraceRecord> records;
+    if (!obs::chain_records(in.records(), ancestry, records, &error)) return in.fail(error);
+    std::cout << obs::format_records(records);
+    return 0;
+}
+
+/// --violations: the violation records, then the causal history of every
+/// lineage a monitor flagged. Exits 1 when any violation is recorded, so
+/// scripts can gate on it directly, and 2 when a pass fails.
+int print_violations(Input& in) {
+    obs::TraceFilter violation;
+    violation.kind = sim::TraceKind::kViolation;
+    std::vector<sim::TraceRecord> found;
+    obs::LineageIndex index;
+    std::string error;
+    if (!sim::drain(in.records(), &error, [&](const sim::TraceRecord& r) {
+            index.add(r);
+            if (violation.matches(r)) found.push_back(r);
+        }))
+        return in.fail(error, 2);
+    if (found.empty()) {
+        std::cout << "no violations recorded\n";
+        return 0;
+    }
+    index.finish();
+    std::cout << found.size() << " violation record(s):\n" << obs::format_records(found);
+    // A second pass collects the histories of every flagged lineage at
+    // once; each is then picked out of that pool.
+    std::vector<std::uint64_t> flagged, pooled;
+    for (const sim::TraceRecord& r : found) {
+        if (r.lineage == 0 ||
+            std::find(flagged.begin(), flagged.end(), r.lineage) != flagged.end())
+            continue;
+        flagged.push_back(r.lineage);
+        const std::vector<std::uint64_t> ancestry = index.ancestry(r.lineage);
+        pooled.insert(pooled.end(), ancestry.begin(), ancestry.end());
+    }
+    std::vector<sim::TraceRecord> pool;
+    if (!flagged.empty() && !obs::chain_records(in.records(), pooled, pool, &error))
+        return in.fail(error, 2);
+    for (const std::uint64_t lineage : flagged) {
+        const std::vector<std::uint64_t> ancestry = index.ancestry(lineage);
+        std::cout << "\nlineage " << lineage << " ancestry:";
+        print_lineages(ancestry);
+        sim::SpanSource from_pool(pool);
+        std::vector<sim::TraceRecord> chain;
+        obs::chain_records(from_pool, ancestry, chain);
+        std::cout << obs::format_records(chain);
+    }
+    return 1;
 }
 
 /// Options of the --critical-path mode.
@@ -168,10 +288,10 @@ struct CriticalPathQuery {
 bool write_flame(const std::string& out_path, const obs::ExportMeta& meta,
                  const std::vector<sim::TraceRecord>& chain_records,
                  const obs::PathWaterfall& wf, std::string* error) {
-    std::string out = obs::chrome_trace_header(meta);
-    for (const sim::TraceRecord& r : chain_records) obs::append_chrome_record(out, r);
-    obs::append_chrome_path_overlay(out, wf);
-    out += obs::chrome_trace_footer(meta);
+    std::string out = obs::chrome_trace_json(chain_records, meta);
+    std::string overlay;
+    obs::append_chrome_path_overlay(overlay, wf);
+    out.insert(out.size() - obs::chrome_trace_footer(meta).size(), overlay);
     std::ofstream f(out_path, std::ios::binary | std::ios::trunc);
     if (!f) {
         if (error) *error = "cannot create " + out_path;
@@ -185,27 +305,31 @@ bool write_flame(const std::string& out_path, const obs::ExportMeta& meta,
     return true;
 }
 
-/// The report body plus the optional waterfall / flame passes, given a
-/// chain-record loader for the winning lineage (in-memory and spill
-/// inputs differ only there).
-int print_critical_path(
-    const obs::CriticalPathReport& report, const CriticalPathQuery& q,
-    const obs::ExportMeta& meta,
-    const std::function<bool(std::uint64_t, std::vector<sim::TraceRecord>&,
-                             std::string*)>& load_chain) {
-    std::cout << obs::format_critical_path(report);
-    if (!(q.waterfall || !q.flame.empty()) || !report.has_witness) return 0;
+/// --critical-path: the report, plus the winning chain's waterfall and
+/// flame. The pass that prices the run also indexes the lineages the
+/// chain needs, and one more pass collects the chain.
+int run_critical_path(Input& in, const CriticalPathQuery& q) {
+    const bool draw = q.waterfall || !q.flame.empty();
+    obs::CriticalPathBuilder builder(q.config);
+    obs::LineageIndex index;
     std::string error;
-    std::vector<sim::TraceRecord> chain_records;
-    if (!load_chain(report.witness.terminal, chain_records, &error)) {
-        std::cerr << error << "\n";
-        return 1;
-    }
-    const obs::PathWaterfall wf =
-        obs::path_waterfall(chain_records, report.witness, q.config);
+    if (!sim::drain(in.records(), &error, [&](const sim::TraceRecord& r) {
+            builder.add(r);
+            if (draw) index.add(r);
+        }))
+        return in.fail(error);
+    index.finish();
+    const obs::CriticalPathReport report = builder.finish();
+    std::cout << obs::format_critical_path(report);
+    if (!draw || !report.has_witness) return 0;
+    std::vector<sim::TraceRecord> chain;
+    if (!obs::chain_records(in.records(), index.ancestry(report.witness.terminal), chain,
+                            &error))
+        return in.fail(error);
+    const obs::PathWaterfall wf = obs::path_waterfall(chain, report.witness, q.config);
     if (q.waterfall) std::cout << obs::format_waterfall(wf);
     if (!q.flame.empty()) {
-        if (!write_flame(q.flame, meta, chain_records, wf, &error)) {
+        if (!write_flame(q.flame, in.trace.meta, chain, wf, &error)) {
             std::cerr << error << "\n";
             return 1;
         }
@@ -263,177 +387,6 @@ int print_metrics_summary(const std::string& path, const obs::JsonValue& doc) {
                       << " max=" << field("max") << "\n";
         }
     }
-    return 0;
-}
-
-/// All query modes over spill input, streaming the deterministic merge.
-int run_spill(const std::string& path, bool check, bool summary, bool reconvergence,
-              bool violations, bool calls, const obs::TraceFilter& filter,
-              const std::optional<std::uint64_t>& chain, const CriticalPathQuery& cp) {
-    std::string error;
-    const std::vector<std::string> files = sim::spill_files(path, &error);
-    if (files.empty()) {
-        std::cerr << path << ": " << (error.empty() ? "no spill files" : error) << "\n";
-        return 2;
-    }
-    if (cp.enabled) {
-        obs::CriticalPathReport report;
-        if (!obs::spill_critical_path(files, cp.config, report, &error)) {
-            std::cerr << path << ": " << error << "\n";
-            return 1;
-        }
-        obs::ExportMeta meta;
-        meta.name = path;
-        return print_critical_path(
-            report, cp, meta,
-            [&](std::uint64_t terminal, std::vector<sim::TraceRecord>& out,
-                std::string* err) {
-                obs::LineageIndex idx;
-                if (!load_lineage_index(path, files, idx, err)) return false;
-                return obs::spill_chain_records(files, idx, terminal, out, err);
-            });
-    }
-    if (check || summary) {
-        obs::SpillSummary s;
-        if (!obs::spill_summarize(files, s, &error)) {
-            std::cerr << path << ": " << error << "\n";
-            return 1;
-        }
-        if (check) {
-            std::cout << path << ": valid spill data (" << s.files << " file(s), "
-                      << s.records << " record(s), " << s.stats.total_recorded
-                      << " recorded" << (s.truncated ? ", tail recovered" : "") << ")\n";
-            return 0;
-        }
-        std::cout << "spill " << path << ": " << s.files << " file(s), " << s.records
-                  << " records (" << s.stats.total_recorded << " recorded, "
-                  << s.stats.dropped << " dropped, " << s.stats.spilled_records
-                  << " spilled)";
-        if (s.records != 0)
-            std::cout << " t=[" << s.first_at << ", " << s.last_at << "]";
-        if (s.truncated) std::cout << " [tail recovered]";
-        std::cout << "\n";
-        for (unsigned k = 0; k < sim::kTraceKindCount; ++k)
-            if (s.counts[k] != 0)
-                std::cout << "  " << sim::trace_kind_name(static_cast<sim::TraceKind>(k))
-                          << ": " << s.counts[k] << "\n";
-        return 0;
-    }
-    if (chain) {
-        obs::LineageIndex idx;
-        if (!load_lineage_index(path, files, idx, &error)) {
-            std::cerr << path << ": " << error << "\n";
-            return 1;
-        }
-        const auto ancestry = idx.ancestry(*chain);
-        if (ancestry.empty()) {
-            std::cerr << "lineage " << *chain << " does not appear in the trace\n";
-            return 1;
-        }
-        std::cout << "ancestry:";
-        for (std::uint64_t lin : ancestry) std::cout << " " << lin;
-        std::cout << "\n";
-        std::vector<sim::TraceRecord> records;
-        if (!obs::spill_collect(
-                files,
-                [&](const sim::TraceRecord& r) {
-                    return r.lineage != 0 && std::find(ancestry.begin(), ancestry.end(),
-                                                       r.lineage) != ancestry.end();
-                },
-                records, &error)) {
-            std::cerr << path << ": " << error << "\n";
-            return 1;
-        }
-        std::cout << obs::format_records(records);
-        return 0;
-    }
-    if (violations) {
-        std::vector<sim::TraceRecord> found;
-        if (!obs::spill_collect(
-                files,
-                [](const sim::TraceRecord& r) {
-                    return r.kind == sim::TraceKind::kViolation;
-                },
-                found, &error)) {
-            std::cerr << path << ": " << error << "\n";
-            return 1;
-        }
-        if (found.empty()) {
-            std::cout << "no violations recorded\n";
-            return 0;
-        }
-        std::cout << found.size() << " violation record(s):\n"
-                  << obs::format_records(found);
-        obs::LineageIndex idx;
-        if (!load_lineage_index(path, files, idx, &error)) {
-            std::cerr << path << ": " << error << "\n";
-            return 1;
-        }
-        // One extra streaming pass covers every flagged lineage's chain:
-        // collect the union of the ancestry sets, then split per lineage.
-        std::vector<std::uint64_t> seen;
-        std::vector<std::uint64_t> wanted;
-        for (const auto& r : found) {
-            if (r.lineage == 0) continue;
-            if (std::find(seen.begin(), seen.end(), r.lineage) != seen.end()) continue;
-            seen.push_back(r.lineage);
-            for (std::uint64_t lin : idx.ancestry(r.lineage))
-                if (std::find(wanted.begin(), wanted.end(), lin) == wanted.end())
-                    wanted.push_back(lin);
-        }
-        std::vector<sim::TraceRecord> pool;
-        if (!seen.empty() &&
-            !obs::spill_collect(
-                files,
-                [&](const sim::TraceRecord& r) {
-                    return r.lineage != 0 && std::find(wanted.begin(), wanted.end(),
-                                                       r.lineage) != wanted.end();
-                },
-                pool, &error)) {
-            std::cerr << path << ": " << error << "\n";
-            return 1;
-        }
-        for (const std::uint64_t lineage : seen) {
-            const auto ancestry = idx.ancestry(lineage);
-            std::cout << "\nlineage " << lineage << " ancestry:";
-            for (std::uint64_t lin : ancestry) std::cout << " " << lin;
-            std::cout << "\n";
-            std::vector<sim::TraceRecord> chain_records;
-            for (const auto& r : pool)
-                if (std::find(ancestry.begin(), ancestry.end(), r.lineage) !=
-                    ancestry.end())
-                    chain_records.push_back(r);
-            std::cout << obs::format_records(chain_records);
-        }
-        return 1;
-    }
-    if (calls) {
-        obs::TraceFilter cf = filter;
-        cf.kind = sim::TraceKind::kCallEvent;
-        std::vector<sim::TraceRecord> found;
-        if (!obs::spill_collect(
-                files, [&](const sim::TraceRecord& r) { return matches(r, cf); }, found,
-                &error)) {
-            std::cerr << path << ": " << error << "\n";
-            return 1;
-        }
-        return print_calls(found);
-    }
-    std::vector<sim::TraceRecord> records;
-    if (!obs::spill_collect(
-            files,
-            [&](const sim::TraceRecord& r) {
-                return reconvergence || matches(r, filter);
-            },
-            records, &error)) {
-        std::cerr << path << ": " << error << "\n";
-        return 1;
-    }
-    if (reconvergence) {
-        std::cout << obs::format_reconvergence(records);
-        return 0;
-    }
-    std::cout << obs::format_records(records);
     return 0;
 }
 
@@ -498,105 +451,53 @@ int main(int argc, char** argv) {
     }
     if (path.empty()) return usage(argv[0]);
 
-    std::error_code ec;
-    if (std::filesystem::is_directory(path, ec) || sim::is_spill_file(path))
-        return run_spill(path, check, summary, reconvergence, violations, calls, filter,
-                         chain, cp);
-
-    std::string text;
-    if (!read_file(path, text)) {
-        std::cerr << "cannot read " << path << "\n";
-        return 2;
-    }
-    if (check) return run_check(path, text);
-
-    if (summary) {
-        // A metrics export is not a trace, but its profile and trace-ring
-        // sections are summary material — accept it here.
-        obs::JsonValue doc;
-        if (obs::json_parse(text, doc) && doc.find("fastnet_metrics") != nullptr)
-            return print_metrics_summary(path, doc);
-    }
-
-    obs::LoadedTrace trace;
+    Input in;
+    in.path = path;
     std::string error;
-    if (!obs::load_canonical(text, trace, &error)) {
-        std::cerr << path << ": " << error
-                  << "\n(only canonical exports are queryable; --check accepts both "
-                     "formats)\n";
-        return 1;
-    }
-
-    if (cp.enabled) {
-        const obs::CriticalPathReport report = obs::critical_path(trace.records, cp.config);
-        return print_critical_path(
-            report, cp, trace.meta,
-            [&trace](std::uint64_t terminal, std::vector<sim::TraceRecord>& out,
-                     std::string*) {
-                out = obs::causal_chain(trace.records, terminal);
-                return true;
-            });
-    }
-
-    if (chain) {
-        const auto ancestry = obs::lineage_ancestry(trace.records, *chain);
-        if (ancestry.empty()) {
-            std::cerr << "lineage " << *chain << " does not appear in the trace\n";
+    std::error_code ec;
+    if (std::filesystem::is_directory(path, ec) || sim::is_spill_file(path)) {
+        in.files = sim::spill_files(path, &error);
+        if (in.files.empty()) {
+            std::cerr << path << ": " << (error.empty() ? "no spill files" : error) << "\n";
+            return 2;
+        }
+        in.trace.meta.name = path;
+    } else {
+        std::string text;
+        if (!read_file(path, text)) {
+            std::cerr << "cannot read " << path << "\n";
+            return 2;
+        }
+        if (check) return run_check(path, text);
+        if (summary) {
+            // A metrics export is not a trace, but its profile and
+            // trace-ring sections are summary material — accept it here.
+            obs::JsonValue doc;
+            if (obs::json_parse(text, doc) && doc.find("fastnet_metrics") != nullptr)
+                return print_metrics_summary(path, doc);
+        }
+        if (!obs::load_canonical(text, in.trace, &error)) {
+            std::cerr << path << ": " << error
+                      << "\n(only canonical exports are queryable; --check accepts both "
+                         "formats)\n";
             return 1;
         }
-        std::cout << "ancestry:";
-        for (std::uint64_t lin : ancestry) std::cout << " " << lin;
-        std::cout << "\n";
-        std::cout << obs::format_records(obs::causal_chain(trace.records, *chain));
-        return 0;
     }
+
+    if (check) return print_summary(in, true);
+    if (cp.enabled) return run_critical_path(in, cp);
+    if (chain) return print_chain(in, *chain);
     if (reconvergence) {
-        std::cout << obs::format_reconvergence(trace.records);
+        std::vector<obs::CrashEpisode> episodes;
+        if (!obs::crash_episodes(in.records(), episodes, &error)) return in.fail(error);
+        std::cout << obs::format_reconvergence(episodes);
         return 0;
     }
     if (calls) {
-        obs::TraceFilter cf = filter;
-        cf.kind = sim::TraceKind::kCallEvent;
-        return print_calls(obs::filter_records(trace.records, cf));
+        filter.kind = sim::TraceKind::kCallEvent;
+        return print_matches(in, filter, true);
     }
-    if (violations) {
-        // Shorthand for --kind violation, plus the causal history of every
-        // packet lineage a monitor flagged. Exits 1 when any violation is
-        // recorded, so scripts can gate on it directly.
-        obs::TraceFilter vf;
-        vf.kind = sim::TraceKind::kViolation;
-        const auto found = obs::filter_records(trace.records, vf);
-        if (found.empty()) {
-            std::cout << "no violations recorded\n";
-            return 0;
-        }
-        std::cout << found.size() << " violation record(s):\n"
-                  << obs::format_records(found);
-        std::vector<std::uint64_t> seen;
-        for (const auto& r : found) {
-            if (r.lineage == 0) continue;
-            if (std::find(seen.begin(), seen.end(), r.lineage) != seen.end()) continue;
-            seen.push_back(r.lineage);
-            std::cout << "\nlineage " << r.lineage << " ancestry:";
-            for (std::uint64_t lin : obs::lineage_ancestry(trace.records, r.lineage))
-                std::cout << " " << lin;
-            std::cout << "\n"
-                      << obs::format_records(obs::causal_chain(trace.records, r.lineage));
-        }
-        return 1;
-    }
-    if (summary) {
-        std::cout << "trace \"" << trace.meta.name << "\": " << trace.meta.nodes
-                  << " nodes, " << trace.meta.edges.size() << " edges, "
-                  << trace.records.size() << " records (" << trace.total_recorded
-                  << " recorded, " << trace.dropped << " dropped)\n";
-        const auto counts = obs::kind_counts(trace.records);
-        for (unsigned k = 0; k < sim::kTraceKindCount; ++k)
-            if (counts[k] != 0)
-                std::cout << "  " << sim::trace_kind_name(static_cast<sim::TraceKind>(k))
-                          << ": " << counts[k] << "\n";
-        return 0;
-    }
-    std::cout << obs::format_records(obs::filter_records(trace.records, filter));
-    return 0;
+    if (violations) return print_violations(in);
+    if (summary) return print_summary(in, false);
+    return print_matches(in, filter, false);
 }
