@@ -2,7 +2,8 @@
 # Corrupt-segment gate for `fastnet_trace --check`: a spill file whose
 # segment header claims more or fewer records than its payload holds
 # must be rejected (exit 1, an error naming the file and the segment),
-# not reported as valid spill data. The files are written byte by byte
+# not reported as valid spill data. `--violations` must exit 2 on it: its
+# exit 1 means "violations found". The files are written byte by byte
 # here, so the gate needs only the CLI. Wired in as the SpillCheckCorrupt
 # ctest; also runnable by hand:
 #
@@ -54,6 +55,16 @@ for count in 2 0; do
     fi
     grep -q "bad$count.fnspill: segment 0: " "$tmp/bad.err" \
         || { echo "spill_check_corrupt: error does not name the segment" >&2; exit 1; }
+
+    status=0
+    "$trace_bin" "$tmp/bad$count.fnspill" --violations > "$tmp/bad.txt" 2> "$tmp/bad.err" \
+        || status=$?
+    if [[ $status -ne 2 ]]; then
+        echo "spill_check_corrupt: --violations over count $count exited $status, not 2" >&2
+        exit 1
+    fi
+    grep -q "bad$count.fnspill: segment 0: " "$tmp/bad.err" \
+        || { echo "spill_check_corrupt: --violations error does not name the segment" >&2; exit 1; }
 done
 
-echo "spill_check_corrupt: miscounted segments rejected by --check."
+echo "spill_check_corrupt: miscounted segments rejected by --check and --violations."
