@@ -12,8 +12,8 @@
 #      crash-truncated spill file, and
 #   4. every fastnet_trace query mode to print the same and exit the same
 #      over one cell's canonical export and over its spill directory,
-#      with or without a lineage.fnlidx file in that directory (older
-#      versions cached the lineage index there and trusted it).
+#      also with a stale or corrupt lineage.fnlidx index file planted in
+#      that directory: no query may read one.
 # Wired in as the TraceSpillSmoke ctest; also runnable by hand:
 #
 #   scripts/trace_spill_smoke.sh [path/to/trace_spill_smoke] [path/to/fastnet_trace]
