@@ -121,7 +121,7 @@ void bm_plan_branching_paths(benchmark::State& state) {
     const hw::PortMap ports = hw::canonical_ports(g);
     for (auto _ : state) {
         auto plan = topo::plan_branching_paths(tree, ports);
-        benchmark::DoNotOptimize(plan.messages.size());
+        benchmark::DoNotOptimize(plan.routes.size());
     }
 }
 BENCHMARK(bm_plan_branching_paths)->Range(64, 4096);

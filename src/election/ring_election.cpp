@@ -47,11 +47,6 @@ hw::PortId other_port(node::Context& ctx, hw::PortId arrival) {
     return hw::kNoPort;
 }
 
-hw::PortId arrival_port(const hw::Delivery& d) {
-    FASTNET_EXPECTS(!d.reverse.empty());
-    return d.reverse.front().port();
-}
-
 }  // namespace
 
 // ---- Chang-Roberts ----------------------------------------------------
@@ -157,7 +152,7 @@ void HirschbergSinclairProtocol::on_message(node::Context& ctx, const hw::Delive
         phase_ = 0;
         launch_phase(ctx);
     }
-    const hw::PortId in = arrival_port(d);
+    const hw::PortId in = d.arrival_port();
     if (const auto* probe = hw::payload_as<HsProbe>(d)) {
         if (probe->origin == ctx.self()) {
             // Circumnavigated: we win.

@@ -3,6 +3,7 @@
 // gather trees OT(t) (Section 5).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -41,7 +42,7 @@ public:
 
     std::span<const NodeId> children(NodeId u) const {
         FASTNET_EXPECTS(contains(u));
-        return children_[u];
+        return {children_.data() + first_child_[u], first_child_[u + 1] - first_child_[u]};
     }
 
     bool is_leaf(NodeId u) const { return children(u).empty(); }
@@ -52,8 +53,9 @@ public:
     /// Height of the whole tree (max depth over present nodes).
     unsigned height() const;
 
-    /// Present nodes in a deterministic preorder (parent before child).
-    std::vector<NodeId> preorder() const;
+    /// Present nodes in a deterministic preorder (parent before child,
+    /// children in id order); computed once at construction.
+    std::span<const NodeId> preorder() const { return order_; }
 
     /// Present nodes so that every child appears before its parent.
     std::vector<NodeId> postorder() const;
@@ -72,7 +74,11 @@ private:
     NodeId root_ = kNoNode;
     NodeId size_ = 0;
     std::vector<NodeId> parent_;
-    std::vector<std::vector<NodeId>> children_;
+    /// Children of u: children_[first_child_[u] .. first_child_[u + 1]),
+    /// in id order (flat: three arrays whatever the tree's shape).
+    std::vector<std::uint32_t> first_child_;
+    std::vector<NodeId> children_;
+    std::vector<NodeId> order_;  ///< Preorder of the present nodes.
 };
 
 }  // namespace fastnet::graph

@@ -5,17 +5,22 @@
 namespace fastnet::hw {
 
 AnrHeader route_for_path(std::span<const NodeId> path, const PortMap& ports, CopyMode mode) {
-    FASTNET_EXPECTS(path.size() >= 1);
     AnrHeader h;
     h.reserve(path.size() + 1);
+    append_route(path, ports, mode, h);
+    return h;
+}
+
+void append_route(std::span<const NodeId> path, const PortMap& ports, CopyMode mode,
+                  std::vector<AnrLabel>& out) {
+    FASTNET_EXPECTS(path.size() >= 1);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const PortId p = ports(path[i], path[i + 1]);
         FASTNET_EXPECTS_MSG(p != kNoPort && p != kNcuPort, "port map lacks a hop on the path");
         const bool drop_copy_here = mode == CopyMode::kIntermediates && i > 0;
-        h.push_back(drop_copy_here ? AnrLabel::copy(p) : AnrLabel::normal(p));
+        out.push_back(drop_copy_here ? AnrLabel::copy(p) : AnrLabel::normal(p));
     }
-    h.push_back(AnrLabel::normal(kNcuPort));
-    return h;
+    out.push_back(AnrLabel::normal(kNcuPort));
 }
 
 PortMap canonical_ports(const graph::Graph& g) {

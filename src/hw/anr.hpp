@@ -47,6 +47,11 @@ enum class CopyMode {
 AnrHeader route_for_path(std::span<const NodeId> path, const PortMap& ports,
                          CopyMode mode = CopyMode::kNone);
 
+/// The same labels appended to `out` (a planner writing many routes into
+/// one buffer).
+void append_route(std::span<const NodeId> path, const PortMap& ports, CopyMode mode,
+                  std::vector<AnrLabel>& out);
+
 /// Concatenates two headers. The first must end at an NCU (trailing id 0);
 /// the NCU id is removed so the packet continues along `b` instead — this
 /// is how the election algorithm splices ANR(q,o) with the carried

@@ -111,7 +111,7 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
         sh->net = std::make_unique<hw::Network>(sh->sim, graph_, config_.params,
                                                 *sh->metrics, net_cfg, std::move(binding));
         sh->net->set_ncu_dispatch(
-            [this](NodeId at, const hw::Delivery& d) { runtimes_[at]->on_delivery(d); });
+            [this](NodeId at, hw::Delivery&& d) { runtimes_[at]->on_delivery(std::move(d)); });
         sh->net->set_link_sink([this](NodeId at, EdgeId e, bool up) {
             runtimes_[at]->on_link_notification(e, up);
         });

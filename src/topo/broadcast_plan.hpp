@@ -10,7 +10,9 @@
 // a node" — here in the already-compiled form of per-start headers.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -20,20 +22,25 @@
 
 namespace fastnet::topo {
 
-/// One planned path message.
-struct PlannedMessage {
-    NodeId start = kNoNode;   ///< Node that must inject this message.
-    hw::AnrHeader header;     ///< Copy-at-intermediates route for the path.
-    std::vector<NodeId> covers;  ///< Nodes that receive it (path[1..]).
-};
-
+/// The planned messages of one broadcast, as routes ready to send: one
+/// route per message, grouped by the node that injects it. Every route
+/// is a view into one shared label buffer, so a plan is a handful of
+/// arrays whatever its size, and sending a planned message copies no
+/// labels.
 struct BroadcastPlan {
-    std::vector<PlannedMessage> messages;
-    /// messages_at[u] — indices of messages injected by u.
-    std::vector<std::vector<std::size_t>> messages_at;
+    /// Grouped by injecting node; within one node, in planning order.
+    std::vector<hw::Route> routes;
+    /// routes_at(u) spans routes[first_route[u] .. first_route[u + 1]).
+    std::vector<std::uint32_t> first_route;
     unsigned time_units = 0;      ///< Theorem 2 bound realized by this plan.
     unsigned root_label = 0;      ///< x in the 1 + x - y accounting.
     std::size_t covered_nodes = 0;  ///< Tree size (receptions = size - 1).
+
+    /// Routes of the messages `u` injects (empty for a node off the plan).
+    std::span<const hw::Route> routes_at(NodeId u) const {
+        if (std::size_t{u} + 1 >= first_route.size()) return {};
+        return {routes.data() + first_route[u], first_route[u + 1] - first_route[u]};
+    }
 };
 
 // ---- Theorem 2 predicted bounds (n >= 1 nodes, m edges) ------------------
@@ -59,7 +66,7 @@ BroadcastPlan plan_branching_paths(const graph::RootedTree& tree, const hw::Port
 /// Reorders the children of a tree node before the Euler tour descends
 /// into them (in place). Used to reproduce the paper's adversarial
 /// route choices in the Section 3 non-convergence example.
-using ChildReorder = std::function<void(NodeId parent, std::vector<NodeId>& children)>;
+using ChildReorder = std::function<void(NodeId parent, std::span<NodeId> children)>;
 
 /// The failure-fragile DFS token scheme used as the paper's negative
 /// example: one message whose route is an Euler tour of the tree with a

@@ -60,8 +60,7 @@ void BroadcastProtocol::on_start(node::Context& ctx) {
     msg->origin = self;
     msg->round = next_round_++;
     dispatch_time_ = ctx.now();
-    for (std::size_t idx : plan->messages_at[self])
-        ctx.send(plan->messages[idx].header, msg);
+    for (const hw::Route& route : plan->routes_at(self)) ctx.send(route, msg);
 }
 
 void BroadcastProtocol::on_message(node::Context& ctx, const hw::Delivery& d) {
@@ -70,9 +69,7 @@ void BroadcastProtocol::on_message(node::Context& ctx, const hw::Delivery& d) {
         if (seen >= flood_msg->round) return;  // duplicate
         seen = flood_msg->round;
         if (receive_time_ == kNever) receive_time_ = ctx.now();
-        const hw::PortId arrival =
-            d.reverse.empty() ? hw::kNoPort : d.reverse.front().port();
-        flood(ctx, flood_msg->origin, flood_msg->round, arrival);
+        flood(ctx, flood_msg->origin, flood_msg->round, d.arrival_port());
         return;
     }
     const auto* msg = hw::payload_as<BroadcastMessage>(d);
@@ -84,9 +81,8 @@ void BroadcastProtocol::on_message(node::Context& ctx, const hw::Delivery& d) {
 void BroadcastProtocol::deliver_planned(node::Context& ctx, const BroadcastMessage& msg) {
     // Inject every planned message that starts here — all in this one
     // system call (the model's free multi-link send).
-    const auto& mine = msg.plan->messages_at[ctx.self()];
     auto payload = std::make_shared<BroadcastMessage>(msg);
-    for (std::size_t idx : mine) ctx.send(msg.plan->messages[idx].header, payload);
+    for (const hw::Route& route : msg.plan->routes_at(ctx.self())) ctx.send(route, payload);
 }
 
 void BroadcastProtocol::flood(node::Context& ctx, NodeId origin, std::uint64_t round,

@@ -6,8 +6,10 @@ namespace fastnet::topo {
 
 std::vector<unsigned> label_tree(const graph::RootedTree& t) {
     std::vector<unsigned> labels(t.node_capacity(), kNoLabel);
-    // Postorder guarantees all children are labelled before their parent.
-    for (NodeId u : t.postorder()) {
+    // Reverse preorder labels all children before their parent.
+    const std::span<const NodeId> order = t.preorder();
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const NodeId u = *it;
         unsigned best = 0;     // largest child label
         unsigned count = 0;    // how many children carry it
         for (NodeId c : t.children(u)) {

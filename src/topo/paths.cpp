@@ -11,7 +11,9 @@ PathDecomposition decompose_paths(const graph::RootedTree& t,
     FASTNET_EXPECTS(labels.size() == t.node_capacity());
     FASTNET_EXPECTS_MSG(satisfies_lemma1(t, labels), "labels violate Lemma 1");
     PathDecomposition d;
-    d.paths_at.assign(t.node_capacity(), {});
+    // Every non-root node lies on one path, plus one start per path.
+    d.nodes.reserve(2 * static_cast<std::size_t>(t.size()));
+    d.paths.reserve(t.size());  // each path covers at least one node
 
     // A node heads a chain iff its label differs from its parent's (or it
     // is the root). Preorder guarantees we see a chain's start path (the
@@ -21,12 +23,13 @@ PathDecomposition decompose_paths(const graph::RootedTree& t,
         if (!is_head) continue;
         BroadcastPath p;
         p.label = labels[u];
-        if (u != t.root()) p.nodes.push_back(t.parent(u));
+        p.first = static_cast<std::uint32_t>(d.nodes.size());
+        if (u != t.root()) d.nodes.push_back(t.parent(u));
         // Walk the equal-label chain downwards; Lemma 1 makes the next
         // node unique.
         NodeId v = u;
         for (;;) {
-            p.nodes.push_back(v);
+            d.nodes.push_back(v);
             NodeId next = kNoNode;
             for (NodeId c : t.children(v)) {
                 if (labels[c] == labels[v]) {
@@ -37,13 +40,15 @@ PathDecomposition decompose_paths(const graph::RootedTree& t,
             if (next == kNoNode) break;
             v = next;
         }
+        p.size = static_cast<std::uint32_t>(d.nodes.size()) - p.first;
         // The root's own chain can degenerate to the root alone (when the
         // root's label exceeds every child's); it covers no edge and is
         // not a path.
-        if (p.nodes.size() < 2) continue;
-        const NodeId start = p.nodes.front();
-        d.paths_at[start].push_back(d.paths.size());
-        d.paths.push_back(std::move(p));
+        if (p.size < 2) {
+            d.nodes.resize(p.first);
+            continue;
+        }
+        d.paths.push_back(p);
     }
 
     // Single-node tree: no paths, covered in zero units.
@@ -60,8 +65,9 @@ PathDecomposition decompose_paths(const graph::RootedTree& t,
                                                                // node is informed
     covered_wave[t.root()] = 0;
     for (BroadcastPath& p : d.paths) {
-        p.wave = covered_wave[p.nodes.front()] + 1;
-        for (std::size_t i = 1; i < p.nodes.size(); ++i) covered_wave[p.nodes[i]] = p.wave;
+        const std::span<const NodeId> nodes = d.nodes_of(p);
+        p.wave = covered_wave[nodes.front()] + 1;
+        for (std::size_t i = 1; i < nodes.size(); ++i) covered_wave[nodes[i]] = p.wave;
         d.time_units = std::max(d.time_units, p.wave);
     }
     return d;
@@ -72,17 +78,18 @@ bool valid_decomposition(const graph::RootedTree& t, const std::vector<unsigned>
     // Every non-root present node covered exactly once.
     std::vector<unsigned> covered(t.node_capacity(), 0);
     for (const BroadcastPath& p : d.paths) {
-        if (p.nodes.size() < 2) return false;
+        if (p.size < 2 || std::size_t{p.first} + p.size > d.nodes.size()) return false;
+        const std::span<const NodeId> nodes = d.nodes_of(p);
         // Path edges are tree edges with the path's label; interior nodes
         // carry the path's label.
-        for (std::size_t i = 1; i < p.nodes.size(); ++i) {
-            const NodeId v = p.nodes[i];
-            if (!t.contains(v) || t.parent(v) != p.nodes[i - 1]) return false;
+        for (std::size_t i = 1; i < nodes.size(); ++i) {
+            const NodeId v = nodes[i];
+            if (!t.contains(v) || t.parent(v) != nodes[i - 1]) return false;
             if (labels[v] != p.label) return false;
             covered[v] += 1;
         }
         // A non-root start lies strictly above the path's label.
-        const NodeId s = p.nodes.front();
+        const NodeId s = nodes.front();
         if (s != t.root() && labels[s] <= p.label) return false;
     }
     for (NodeId u : t.preorder()) {

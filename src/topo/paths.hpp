@@ -13,6 +13,8 @@
 //     is the root label <= floor(log2 n).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -21,21 +23,29 @@
 
 namespace fastnet::topo {
 
-/// One broadcast path: nodes[0] is the start (already informed when the
-/// path is sent), nodes[1..] are covered by the path's single message.
+/// One broadcast path: its node sequence is nodes_of(path) in the
+/// decomposition; the first node is the start (already informed when the
+/// path is sent), the rest are covered by the path's single message.
 struct BroadcastPath {
-    std::vector<NodeId> nodes;
+    std::uint32_t first = 0;  ///< Start node's index in PathDecomposition::nodes.
+    std::uint32_t size = 0;   ///< Nodes on the path, start included (>= 2).
     unsigned label = 0;  ///< Common label of the edges on the path.
     unsigned wave = 0;   ///< Time unit (1-based) at which the message for
                          ///< this path is transmitted.
 };
 
 struct PathDecomposition {
+    /// In discovery order: a path's start lies on an earlier path (or is
+    /// the root).
     std::vector<BroadcastPath> paths;
-    /// paths_at[u] — indices (into `paths`) of paths starting at u.
-    std::vector<std::vector<std::size_t>> paths_at;
+    /// Every path's node sequence, back to back.
+    std::vector<NodeId> nodes;
     /// Max wave over paths = broadcast time in units (Theorem 2: <= 1+x).
     unsigned time_units = 0;
+
+    std::span<const NodeId> nodes_of(const BroadcastPath& p) const {
+        return {nodes.data() + p.first, p.size};
+    }
 };
 
 /// Decomposes a labelled tree. `labels` must come from label_tree(t).

@@ -24,8 +24,12 @@ void TopologyMaintenance::refresh_local(node::Context& ctx, std::uint64_t seq) {
     mine->known = true;
     mine->seq = seq;
     mine->links.reserve(ctx.links().size());
-    for (const node::LocalLink& l : ctx.links())
+    for (const node::LocalLink& l : ctx.links()) {
+        // known_tree finds a link's far-side record at index far_port - 1.
+        FASTNET_ENSURES_MSG(l.port == mine->links.size() + 1,
+                            "record i must describe port i + 1");
         mine->links.push_back(NeighborRecord{l.neighbor, l.port, l.remote_port, l.active});
+    }
     self_ = ctx.self();
     db_[self_] = std::move(mine);
 }
@@ -68,32 +72,36 @@ void TopologyMaintenance::on_link_state(node::Context& ctx, const node::LocalLin
     refresh_local(ctx, view_of(ctx.self()).seq);
 }
 
+const NeighborRecord& TopologyMaintenance::far_record(NodeId u, const NeighborRecord& r) const {
+    // Record i describes port i + 1 (checked by refresh_local), and a
+    // graph has no parallel edges, so the far side's record of the link
+    // is the one at the link's port there.
+    const std::vector<NeighborRecord>& far = db_[r.neighbor]->links;
+    FASTNET_EXPECTS_MSG(r.far_port - 1 < far.size() && far[r.far_port - 1].neighbor == u,
+                        "far-side record does not describe the link");
+    return far[r.far_port - 1];
+}
+
 graph::RootedTree TopologyMaintenance::known_tree(NodeId self) const {
     // BFS over the usable view, expanding only nodes with known topology
     // (their ports are needed to route onward). Unknown-topology nodes
     // can be *reached* (as leaves) but not expanded. Once every node is
     // queued no later expansion can set a parent, so the search stops.
+    // A node is queued iff it is self or has a parent.
     std::vector<NodeId> parent(n_, kNoNode);
-    std::vector<bool> seen(n_, false);
-    std::vector<NodeId> queue{self};
-    seen[self] = true;
+    std::vector<NodeId> queue;
+    queue.reserve(n_);
+    queue.push_back(self);
     for (std::size_t h = 0; h < queue.size() && queue.size() < n_; ++h) {
         const NodeId u = queue[h];
         if (!db_[u]) continue;  // leaf in the view
         for (const NeighborRecord& r : db_[u]->links) {
-            if (!r.active || r.neighbor >= n_ || seen[r.neighbor]) continue;
+            const NodeId v = r.neighbor;
+            if (!r.active || v >= n_ || v == self || parent[v] != kNoNode) continue;
             // If the far side is known it must also report the link active.
-            if (db_[r.neighbor]) {
-                const auto& far = db_[r.neighbor]->links;
-                const auto it = std::find_if(far.begin(), far.end(),
-                                             [u](const NeighborRecord& fr) {
-                                                 return fr.neighbor == u;
-                                             });
-                if (it == far.end() || !it->active) continue;
-            }
-            seen[r.neighbor] = true;
-            parent[r.neighbor] = u;
-            queue.push_back(r.neighbor);
+            if (db_[v] && !far_record(u, r).active) continue;
+            parent[v] = u;
+            queue.push_back(v);
         }
     }
     return graph::RootedTree(self, std::move(parent));
@@ -134,7 +142,7 @@ void TopologyMaintenance::do_round(node::Context& ctx) {
                 if (self < options_.dfs_preference.size() &&
                     !options_.dfs_preference[self].empty()) {
                     const std::vector<NodeId>& pref = options_.dfs_preference[self];
-                    reorder = [pref](NodeId, std::vector<NodeId>& cs) {
+                    reorder = [pref](NodeId, std::span<NodeId> cs) {
                         std::stable_sort(cs.begin(), cs.end(), [&pref](NodeId a, NodeId b) {
                             const auto pa = std::find(pref.begin(), pref.end(), a);
                             const auto pb = std::find(pref.begin(), pref.end(), b);
@@ -163,7 +171,7 @@ void TopologyMaintenance::do_round(node::Context& ctx) {
         msg->topologies.emplace_back(self, db_[self]);
     }
     msg->plan = plan;
-    for (std::size_t idx : plan->messages_at[self]) ctx.send(plan->messages[idx].header, msg);
+    for (const hw::Route& route : plan->routes_at(self)) ctx.send(route, msg);
 }
 
 void TopologyMaintenance::on_message(node::Context& ctx, const hw::Delivery& d) {
@@ -179,8 +187,7 @@ void TopologyMaintenance::on_message(node::Context& ctx, const hw::Delivery& d) 
     }
     // One-way relay: forward the paths starting here, unconditionally,
     // with the very payload we received.
-    for (std::size_t idx : msg->plan->messages_at[self])
-        ctx.send(msg->plan->messages[idx].header, d.payload);
+    for (const hw::Route& route : msg->plan->routes_at(self)) ctx.send(route, d.payload);
 }
 
 std::optional<hw::AnrHeader> TopologyMaintenance::route_to(NodeId self, NodeId dst) const {
@@ -199,11 +206,7 @@ std::vector<std::pair<NodeId, NodeId>> TopologyMaintenance::active_view() const 
             if (!r.active || r.neighbor >= n_) continue;
             const NodeId v = r.neighbor;
             if (db_[v]) {
-                const auto& far = db_[v]->links;
-                const auto it = std::find_if(far.begin(), far.end(), [u](const NeighborRecord& fr) {
-                    return fr.neighbor == u;
-                });
-                if (it == far.end() || !it->active) continue;
+                if (!far_record(u, r).active) continue;
                 if (u > v) continue;  // counted from the lower endpoint
             } else if (u > v) {
                 continue;

@@ -113,6 +113,9 @@ private:
     void refresh_local(node::Context& ctx, std::uint64_t seq);
     void do_round(node::Context& ctx);
     graph::RootedTree known_tree(NodeId self) const;
+    /// The far side's record of link `r` of node u (the far side must be
+    /// known).
+    const NeighborRecord& far_record(NodeId u, const NeighborRecord& r) const;
     hw::PortMap db_ports() const;
 
     NodeId n_;

@@ -103,7 +103,7 @@ TEST_P(HwRouteProperty, ReverseRouteAlwaysReturnsToSender) {
         ASSERT_EQ(f.inbox[path.back()].size(), 1u);
         const Delivery d = f.inbox[path.back()][0];
         for (auto& box : f.inbox) box.clear();
-        f.net.send(path.back(), d.reverse, std::make_shared<Mark>(2));
+        f.net.send(path.back(), d.reverse(), std::make_shared<Mark>(2));
         f.sim.run();
         ASSERT_EQ(f.inbox[from].size(), 1u) << "trial " << trial;
         EXPECT_EQ(payload_as<Mark>(f.inbox[from][0])->value, 2);

@@ -34,7 +34,7 @@ TEST(Paths, SingleNodeHasNoPaths) {
 TEST(Paths, PathGraphIsOnePath) {
     const auto r = decompose(graph::make_path(8));
     ASSERT_EQ(r.d.paths.size(), 1u);
-    EXPECT_EQ(r.d.paths[0].nodes.size(), 8u);
+    EXPECT_EQ(r.d.nodes_of(r.d.paths[0]).size(), 8u);
     EXPECT_EQ(r.d.time_units, 1u);
 }
 
@@ -45,8 +45,8 @@ TEST(Paths, StarIsOnePathPlusBranches) {
     EXPECT_EQ(r.d.paths.size(), 5u);
     EXPECT_EQ(r.d.time_units, 1u);
     for (const auto& p : r.d.paths) {
-        EXPECT_EQ(p.nodes.front(), 0u);
-        EXPECT_EQ(p.nodes.size(), 2u);
+        EXPECT_EQ(r.d.nodes_of(p).front(), 0u);
+        EXPECT_EQ(r.d.nodes_of(p).size(), 2u);
     }
 }
 
@@ -71,7 +71,7 @@ TEST(Paths, ValidatorRejectsDoubleCoverage) {
 
 TEST(Paths, ValidatorRejectsNonTreeEdges) {
     auto r = decompose(graph::make_path(4));
-    r.d.paths[0].nodes = {0, 2, 1, 3};  // not parent-child chains
+    r.d.nodes = {0, 2, 1, 3};  // the only path: not parent-child chains
     EXPECT_FALSE(valid_decomposition(r.tree, r.labels, r.d));
 }
 
@@ -93,8 +93,10 @@ TEST_P(PathsProperty, StructurallyValid) {
 TEST_P(PathsProperty, EveryNonRootCoveredExactlyOnce) {
     const auto r = make();
     std::vector<int> covered(r.tree.node_capacity(), 0);
-    for (const auto& p : r.d.paths)
-        for (std::size_t i = 1; i < p.nodes.size(); ++i) covered[p.nodes[i]] += 1;
+    for (const auto& p : r.d.paths) {
+        const auto nodes = r.d.nodes_of(p);
+        for (std::size_t i = 1; i < nodes.size(); ++i) covered[nodes[i]] += 1;
+    }
     for (NodeId u : r.tree.preorder()) EXPECT_EQ(covered[u], u == r.tree.root() ? 0 : 1);
 }
 
@@ -117,9 +119,10 @@ TEST_P(PathsProperty, PathStartsAreInformedBeforeTheirWave) {
     std::vector<unsigned> informed(r.tree.node_capacity(), ~0u);
     informed[r.tree.root()] = 0;
     for (const auto& p : r.d.paths) {
-        ASSERT_NE(informed[p.nodes.front()], ~0u);
-        ASSERT_LT(informed[p.nodes.front()], p.wave);
-        for (std::size_t i = 1; i < p.nodes.size(); ++i) informed[p.nodes[i]] = p.wave;
+        const auto nodes = r.d.nodes_of(p);
+        ASSERT_NE(informed[nodes.front()], ~0u);
+        ASSERT_LT(informed[nodes.front()], p.wave);
+        for (std::size_t i = 1; i < nodes.size(); ++i) informed[nodes[i]] = p.wave;
     }
 }
 
