@@ -15,6 +15,7 @@
 
 #include "common/expect.hpp"
 #include "util/arena.hpp"
+#include "util/block_queue.hpp"
 #include "util/flat_map.hpp"
 #include "util/ring_queue.hpp"
 
@@ -178,6 +179,65 @@ TEST(RingQueue, ClearKeepsBufferForReuse) {
     q.clear();
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.capacity(), cap);
+}
+
+// ---- BlockQueue ----------------------------------------------------------
+
+TEST(BlockQueue, HoldsMemoryOnlyWhileItHoldsWork) {
+    using Q = BlockQueue<std::uint64_t>;
+    Q q;
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.memory_bytes(), 0u);
+    for (std::uint64_t i = 0; i < Q::kBlock + 1; ++i) q.push_back(i);
+    const std::size_t two_blocks = q.memory_bytes();
+    EXPECT_GT(two_blocks, 0u);
+    for (std::uint32_t i = 0; i < Q::kBlock; ++i) q.pop_front();
+    EXPECT_EQ(q.memory_bytes(), two_blocks / 2) << "a drained block goes back at once";
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.memory_bytes(), 0u);
+}
+
+TEST(BlockQueue, PreservesFifoOrderAcrossBlocks) {
+    BlockQueue<int> q;
+    int next_push = 0, next_pop = 0;
+    // Bursts that cross many block boundaries, each drained partly, then
+    // fully, so blocks are taken, returned and taken again mid-sequence.
+    for (int burst = 1; burst <= 40; ++burst) {
+        for (int i = 0; i < burst * 3; ++i) q.push_back(next_push++);
+        while (q.size() > static_cast<std::size_t>(burst)) {
+            ASSERT_EQ(q.front(), next_pop++);
+            q.pop_front();
+        }
+    }
+    while (!q.empty()) {
+        ASSERT_EQ(q.front(), next_pop++);
+        q.pop_front();
+    }
+    EXPECT_EQ(next_pop, next_push);
+}
+
+TEST(BlockQueue, RunsNonTrivialDestructors) {
+    auto counter = std::make_shared<int>(0);
+    {
+        BlockQueue<std::shared_ptr<int>> q;
+        for (int i = 0; i < 10; ++i) q.push_back(counter);
+        EXPECT_EQ(counter.use_count(), 11);
+        q.pop_front();
+        q.pop_front();
+        EXPECT_EQ(counter.use_count(), 9);
+        BlockQueue<std::shared_ptr<int>> cleared;
+        cleared.push_back(counter);
+        cleared.clear();
+        EXPECT_EQ(counter.use_count(), 9);
+    }
+    EXPECT_EQ(counter.use_count(), 1) << "the destructor destroys what is still queued";
+}
+
+TEST(BlockQueue, FrontAndPopOnEmptyAreContractViolations) {
+    BlockQueue<int> q;
+    EXPECT_THROW(q.front(), fastnet::ContractViolation);
+    EXPECT_THROW(q.pop_front(), fastnet::ContractViolation);
 }
 
 // ---- FlatMap64 -----------------------------------------------------------
