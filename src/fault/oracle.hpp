@@ -36,9 +36,8 @@ struct OracleReport {
 class Oracle {
 public:
     /// Quiescence spans every shard, in-flight cursors are summed over
-    /// the mirrors, and topology ground truth is read from mirror 0
-    /// (every mirror replays the same control timeline, so their link
-    /// states are identical).
+    /// the shards, and topology ground truth is read through shard 0's
+    /// network (every shard reads the same hw::Fabric).
     explicit Oracle(node::ParallelCluster& cluster) : cluster_(cluster) {}
 
     /// The cluster must have no pending events or queued NCU work.

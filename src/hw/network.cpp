@@ -30,32 +30,19 @@ std::size_t NodeStreams::memory_bytes() const {
            (delay_rng_.capacity() + fault_rng_.capacity()) * sizeof(Rng);
 }
 
-Network::Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
-                 cost::Metrics& metrics, NetworkConfig config, ShardBinding shard)
-    : sim_(sim),
-      graph_(g),
+Fabric::Fabric(const graph::Graph& g, const ModelParams& params, NetworkConfig config,
+               graph::Partition partition)
+    : graph_(g),
       params_(params),
-      metrics_(metrics),
-      config_(config),
-      trace_(config_.trace.get()),
-      monitors_(config_.monitors.get()),
-      shard_(shard.shard),
-      node_shard_(shard.node_shard),
-      streams_(shard.streams),
-      emit_remote_(std::move(shard.emit_remote)),
+      config_(std::move(config)),
+      partition_(std::move(partition)),
+      streams_(g.node_count(), params_, config_),
+      shards_(partition_.shard_count, nullptr),
       node_down_(g.node_count(), 0),
       downed_head_(g.node_count(), kNoDowned),
       edge_ports_(g.edge_count(), {kNoPort, kNoPort}),
       links_(g.edge_count()) {
-    FASTNET_EXPECTS(metrics.node_count() == g.node_count());
-    FASTNET_EXPECTS_MSG((node_shard_ == nullptr) == (streams_ == nullptr),
-                        "a shard binding needs both the shard map and the streams");
-    if (streams_ == nullptr) {
-        own_streams_ = std::make_unique<NodeStreams>(g.node_count(), params_, config_);
-        own_shard_of_.assign(g.node_count(), shard_);
-        streams_ = own_streams_.get();
-        node_shard_ = own_shard_of_.data();
-    }
+    FASTNET_EXPECTS(partition_.shard_of.size() == g.node_count());
     std::size_t max_degree = 0;
     for (NodeId u = 0; u < g.node_count(); ++u) {
         PortId p = 0;
@@ -69,28 +56,51 @@ Network::Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
     label_bits_ = ceil_log2(max_degree + 1) + 1;
 }
 
+Network::Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
+                 cost::Metrics& metrics, NetworkConfig config)
+    : Network(sim,
+              std::make_unique<Fabric>(g, params, std::move(config), graph::partition_bfs(g, 1)),
+              metrics) {}
+
+Network::Network(sim::Simulator& sim, std::unique_ptr<Fabric> own, cost::Metrics& metrics)
+    : Network(sim, *own, 0, metrics, own->config_.trace.get(), own->config_.monitors.get()) {
+    own_fabric_ = std::move(own);
+}
+
+Network::Network(sim::Simulator& sim, Fabric& fabric, std::uint32_t shard, cost::Metrics& metrics,
+                 sim::Trace* trace, obs::MonitorHub* monitors)
+    : fabric_(fabric),
+      shard_(shard),
+      sim_(sim),
+      metrics_(metrics),
+      trace_(trace),
+      monitors_(monitors) {
+    FASTNET_EXPECTS(metrics.node_count() == fabric.graph_.node_count());
+    FASTNET_EXPECTS(shard < fabric.shards_.size() && fabric.shards_[shard] == nullptr);
+    fabric.shards_[shard] = &sim;
+}
+
 void Network::set_ncu_dispatch(NcuDispatch dispatch) { ncu_dispatch_ = std::move(dispatch); }
 
-void Network::set_link_sink(LinkSink sink) { link_sink_ = std::move(sink); }
-
 PortId Network::port_for_edge(NodeId node, EdgeId e) const {
-    FASTNET_EXPECTS(node < graph_.node_count());
-    if (e >= graph_.edge_count()) return kNoPort;
-    const graph::Edge& edge = graph_.edge(e);
-    if (edge.a == node) return edge_ports_[e][0];
-    if (edge.b == node) return edge_ports_[e][1];
+    const graph::Graph& g = graph();
+    FASTNET_EXPECTS(node < g.node_count());
+    if (e >= g.edge_count()) return kNoPort;
+    const graph::Edge& edge = g.edge(e);
+    if (edge.a == node) return fabric_.edge_ports_[e][0];
+    if (edge.b == node) return fabric_.edge_ports_[e][1];
     return kNoPort;
 }
 
 EdgeId Network::edge_at_port(NodeId node, PortId p) const {
-    FASTNET_EXPECTS(node < graph_.node_count());
-    const std::span<const graph::IncidentEdge> inc = graph_.incident(node);
+    FASTNET_EXPECTS(node < graph().node_count());
+    const std::span<const graph::IncidentEdge> inc = graph().incident(node);
     FASTNET_EXPECTS_MSG(p >= 1 && p <= inc.size(), "not a link port");
     return inc[p - 1].edge;
 }
 
 PortId Network::port_to_neighbor(NodeId node, NodeId v) const {
-    const EdgeId e = graph_.find_edge(node, v);
+    const EdgeId e = graph().find_edge(node, v);
     return e == kNoEdge ? kNoPort : port_for_edge(node, e);
 }
 
@@ -147,10 +157,10 @@ void Network::note_drop(NodeId node, EdgeId e, const Packet& pkt, sim::DropReaso
 }
 
 void Network::admit(NodeId from, std::size_t len) {
-    FASTNET_EXPECTS(from < graph_.node_count());
+    FASTNET_EXPECTS(from < graph().node_count());
     FASTNET_EXPECTS_MSG(len != 0, "empty ANR header");
-    if (params_.dmax != 0) {
-        FASTNET_EXPECTS_MSG(len <= params_.dmax,
+    if (params().dmax != 0) {
+        FASTNET_EXPECTS_MSG(len <= params().dmax,
                             "ANR header exceeds dmax — path length restriction violated");
     }
     metrics_.net().injections += 1;
@@ -184,7 +194,7 @@ std::uint64_t Network::inject(NodeId from, Packet* pkt, std::shared_ptr<const Pa
     pkt->offset = 0;
     pkt->payload = std::move(payload);
     pkt->origin = from;
-    pkt->id = streams_->next_packet_id(from);
+    pkt->id = fabric_.streams_.next_packet_id(from);
     pkt->lineage = pkt->id;
     pkt->sent_at = sim_.now();
     pkt->hops = 0;
@@ -221,7 +231,7 @@ void Network::process_at_switch(NodeId node, Packet* pkt) {
     }
     const AnrLabel label = pkt->pop_label();
 
-    const SwitchingSubsystem ss(static_cast<PortId>(graph_.degree(node)));
+    const SwitchingSubsystem ss(static_cast<PortId>(graph().degree(node)));
     const SwitchDecision d = ss.match(label);
     if (!d.matched()) {
         metrics_.net().drops_no_match += 1;
@@ -244,7 +254,9 @@ void Network::process_at_switch(NodeId node, Packet* pkt) {
 }
 
 void Network::transmit(NodeId from, EdgeId e, Packet* pkt) {
-    LinkState& link = links_[e];
+    const NetworkConfig& config = fabric_.config_;
+    NodeStreams& streams = fabric_.streams_;
+    LinkState& link = fabric_.links_[e];
     if (!link.active()) {
         metrics_.net().drops_inactive_link += 1;
         note_drop(from, e, *pkt, sim::DropReason::kInactiveLink);
@@ -255,27 +267,27 @@ void Network::transmit(NodeId from, EdgeId e, Packet* pkt) {
     // never arrives. Drawn from the transmitting node's own fault stream,
     // separate from its delay stream, so fault-free configurations keep
     // byte-identical schedules.
-    if (config_.loss_ppm > 0 && streams_->fault_rng(from).below(1'000'000) < config_.loss_ppm) {
+    if (config.loss_ppm > 0 && streams.fault_rng(from).below(1'000'000) < config.loss_ppm) {
         metrics_.net().drops_injected += 1;
         note_drop(from, e, *pkt, sim::DropReason::kInjectedLoss);
         release_packet(pkt);
         return;
     }
-    const graph::Edge& edge = graph_.edge(e);
+    const graph::Edge& edge = graph().edge(e);
     const NodeId to = edge.other(from);
     const int direction = (from == edge.a) ? 0 : 1;
 
-    Tick delay = params_.hop_delay;
-    if (config_.hop_delay_min >= 0 && params_.hop_delay > config_.hop_delay_min)
-        delay = streams_->delay_rng(from).range(config_.hop_delay_min, params_.hop_delay);
+    Tick delay = params().hop_delay;
+    if (config.hop_delay_min >= 0 && params().hop_delay > config.hop_delay_min)
+        delay = streams.delay_rng(from).range(config.hop_delay_min, params().hop_delay);
     Tick arrival = link.fifo_arrival(direction, sim_.now() + delay);
-    if (config_.link_spacing > 0)
-        arrival = link.spaced_arrival(direction, arrival, config_.link_spacing);
+    if (config.link_spacing > 0)
+        arrival = link.spaced_arrival(direction, arrival, config.link_spacing);
     const std::uint64_t epoch = link.epoch();
     // Source-routing overhead on the wire: the remaining header rides
     // this hop.
     metrics_.net().header_bits +=
-        static_cast<std::uint64_t>(pkt->remaining_len()) * label_bits_;
+        static_cast<std::uint64_t>(pkt->remaining_len()) * label_bits();
     pkt->hop_sent_at = sim_.now();
     if (cost::Sampling* s = metrics_.sampling()) {
         // Hardware (C) budget, attributed to the node whose send put the
@@ -284,23 +296,21 @@ void Network::transmit(NodeId from, EdgeId e, Packet* pkt) {
                                          static_cast<double>(arrival - sim_.now()));
     }
 
-    // A boundary-crossing arrival goes to the coordinator's outbox; the
-    // local cursor is then released after the dup block below is done
-    // reading it.
-    const bool retire_pkt =
-        schedule_arrival(arrival, streams_->draw(from), to, e, epoch, pkt);
+    // A boundary-crossing arrival goes to the outbox; the local cursor
+    // is then released after the dup block below is done reading it.
+    const bool retire_pkt = schedule_arrival(arrival, streams.draw(from), to, e, epoch, pkt);
 
     // Injected duplication: a spurious link-layer retransmit. The copy is
     // a second cursor sharing the route, with its own copy of the track,
     // and joins the same FIFO behind the original, stamped with the same
     // epoch — a flap kills both.
-    if (config_.dup_ppm > 0 && streams_->fault_rng(from).below(1'000'000) < config_.dup_ppm) {
+    if (config.dup_ppm > 0 && streams.fault_rng(from).below(1'000'000) < config.dup_ppm) {
         Packet* dup = alloc_packet();
         *dup = *pkt;  // same lineage: the duplicate stays causally traceable
-        dup->id = streams_->next_packet_id(from);
+        dup->id = streams.next_packet_id(from);
         metrics_.net().dup_copies += 1;
         metrics_.net().header_bits +=
-            static_cast<std::uint64_t>(dup->remaining_len()) * label_bits_;
+            static_cast<std::uint64_t>(dup->remaining_len()) * label_bits();
         if (trace_ != nullptr && trace_->enabled(sim::TraceKind::kDup))
             trace_->record(sim_.now(), from, sim::TraceKind::kDup,
                            {.lineage = dup->lineage, .a = e, .b = dup->id, .flag = 0});
@@ -314,17 +324,17 @@ void Network::transmit(NodeId from, EdgeId e, Packet* pkt) {
             ev.b = dup->id;
             monitors_->dispatch(ev);
         }
-        Tick dup_arrival = link.fifo_arrival(direction, arrival + params_.hop_delay);
-        if (config_.link_spacing > 0)
-            dup_arrival = link.spaced_arrival(direction, dup_arrival, config_.link_spacing);
-        if (schedule_arrival(dup_arrival, streams_->draw(from), to, e, epoch, dup))
+        Tick dup_arrival = link.fifo_arrival(direction, arrival + params().hop_delay);
+        if (config.link_spacing > 0)
+            dup_arrival = link.spaced_arrival(direction, dup_arrival, config.link_spacing);
+        if (schedule_arrival(dup_arrival, streams.draw(from), to, e, epoch, dup))
             release_packet(dup);
     }
     if (retire_pkt) release_packet(pkt);
 }
 
 void Network::arrive(NodeId at, EdgeId e, std::uint64_t epoch, Packet* pkt) {
-    const LinkState& link = links_[e];
+    const LinkState& link = fabric_.links_[e];
     if (!link.active() || link.epoch() != epoch) {
         // The link failed (or flapped) while the packet was in flight.
         metrics_.net().drops_inactive_link += 1;
@@ -355,8 +365,8 @@ void Network::arrive(NodeId at, EdgeId e, std::uint64_t epoch, Packet* pkt) {
     // Accumulate reverse-path information (Section 2 grants the receiver
     // the ability to reply; we realize it as per-hop reverse labels on
     // the packet's track).
-    const graph::Edge& edge = graph_.edge(e);
-    const PortId back = edge_ports_[e][edge.a == at ? 0 : 1];
+    const graph::Edge& edge = graph().edge(e);
+    const PortId back = fabric_.edge_ports_[e][edge.a == at ? 0 : 1];
     pkt->record_reverse(AnrLabel::normal(back));
     process_at_switch(at, pkt);
 }
@@ -379,32 +389,27 @@ void Network::deliver_to_ncu(NodeId node, const Packet& pkt) {
     ncu_dispatch_(node, Delivery(node, pkt));
 }
 
-void Network::set_link_active(EdgeId e, bool active) {
+void Fabric::set_link_active(EdgeId e, bool active) {
     FASTNET_EXPECTS(e < links_.size());
     if (!links_[e].set_active(active)) return;
     const std::uint64_t epoch = links_[e].epoch();
     const graph::Edge& edge = graph_.edge(e);
     for (NodeId endpoint : {edge.a, edge.b}) {
-        // Every mirror replays this draw (keeping ctl_pri_ in lockstep)
-        // but only the endpoint's own shard schedules the notification —
-        // the priority is therefore the same whichever shard the endpoint
-        // landed on.
-        const std::uint64_t pri = streams_->control(ctl_pri_++);
-        if (!local(endpoint)) continue;
-        sim_.at_keyed(sim_.now() + config_.detection_delay, pri,
-                      [this, endpoint, e, epoch, active]() {
-                          // Suppress stale notifications if the link flapped
-                          // again before detection completed (the NCU only
-                          // learns states that persist).
-                          if (links_[e].epoch() != epoch) return;
-                          if (link_sink_) link_sink_(endpoint, e, active);
-                      });
+        sim::Simulator& sim = *shards_[shard_of(endpoint)];
+        sim.at_keyed(sim.now() + config_.detection_delay, streams_.draw_control(),
+                     [this, endpoint, e, epoch, active]() {
+                         // Suppress stale notifications if the link flapped
+                         // again before detection completed (the NCU only
+                         // learns states that persist).
+                         if (links_[e].epoch() != epoch) return;
+                         if (link_sink_) link_sink_(endpoint, e, active);
+                     });
     }
 }
 
 sim::EventId Network::schedule_at(NodeId ctx, Tick when, sim::InlineFn fn) {
     FASTNET_EXPECTS_MSG(local(ctx), "scheduling context not on this shard");
-    return sim_.at_keyed(when, streams_->draw(ctx), std::move(fn));
+    return sim_.at_keyed(when, fabric_.streams_.draw(ctx), std::move(fn));
 }
 
 sim::EventId Network::schedule_after(NodeId ctx, Tick delay, sim::InlineFn fn) {
@@ -412,17 +417,12 @@ sim::EventId Network::schedule_after(NodeId ctx, Tick delay, sim::InlineFn fn) {
     return schedule_at(ctx, sim_.now() + delay, std::move(fn));
 }
 
-void Network::hand_off(Tick arrival, std::uint64_t pri, NodeId to, EdgeId e,
-                       std::uint64_t epoch, const Packet& pkt) {
-    emit_remote_(RemoteArrival{arrival, pri, to, e, epoch, pkt});
-}
-
 void Network::inject_remote(const RemoteArrival& r) {
     FASTNET_EXPECTS(local(r.to));
     Packet* pkt = alloc_packet();
     *pkt = r.packet;
     if (watched()) {
-        // Balances the sender mirror's kRetire: each shard's lineage
+        // Balances the sender shard's kRetire: each shard's lineage
         // ledger sees a packet enter (+1) before its eventual retire.
         obs::MonitorEvent ev;
         ev.kind = obs::MonitorEvent::Kind::kHandoff;
@@ -438,7 +438,7 @@ void Network::inject_remote(const RemoteArrival& r) {
     sim_.at_keyed(r.at, r.pri, [this, to, e, epoch, pkt] { arrive(to, e, epoch, pkt); });
 }
 
-void Network::downed_push(NodeId u, EdgeId e, std::uint64_t epoch) {
+void Fabric::downed_push(NodeId u, EdgeId e, std::uint64_t epoch) {
     std::uint32_t slot;
     if (!downed_free_.empty()) {
         slot = downed_free_.back();
@@ -451,7 +451,7 @@ void Network::downed_push(NodeId u, EdgeId e, std::uint64_t epoch) {
     downed_head_[u] = slot;
 }
 
-void Network::downed_take(NodeId u, std::vector<DownedLink>& out) {
+void Fabric::downed_take(NodeId u, std::vector<DownedLink>& out) {
     out.clear();
     for (std::uint32_t slot = downed_head_[u]; slot != kNoDowned;) {
         const std::uint32_t next = downed_pool_[slot].next;
@@ -465,7 +465,7 @@ void Network::downed_take(NodeId u, std::vector<DownedLink>& out) {
     std::reverse(out.begin(), out.end());
 }
 
-void Network::fail_node(NodeId u) {
+void Fabric::fail_node(NodeId u) {
     FASTNET_EXPECTS(u < graph_.node_count());
     node_down_[u] = 1;
     for (const graph::IncidentEdge& ie : graph_.incident(u)) {
@@ -478,7 +478,7 @@ void Network::fail_node(NodeId u) {
     }
 }
 
-void Network::restore_node(NodeId u) {
+void Fabric::restore_node(NodeId u) {
     FASTNET_EXPECTS(u < graph_.node_count());
     if (!node_down_[u]) return;
     node_down_[u] = 0;
@@ -499,18 +499,23 @@ void Network::restore_node(NodeId u) {
     }
 }
 
-std::size_t Network::memory_bytes() const {
+std::size_t Fabric::memory_bytes() const {
     return node_down_.capacity() * sizeof(std::uint8_t) +
            downed_head_.capacity() * sizeof(std::uint32_t) +
            downed_pool_.capacity() * sizeof(DownedLink) +
            downed_free_.capacity() * sizeof(std::uint32_t) +
            edge_ports_.capacity() * sizeof(std::array<PortId, 2>) +
-           links_.capacity() * sizeof(LinkState) +
-           own_shard_of_.capacity() * sizeof(std::uint32_t) +
-           (own_streams_ != nullptr ? own_streams_->memory_bytes() : 0) +
-           packet_slabs_.capacity() * sizeof(std::unique_ptr<Packet[]>) +
+           links_.capacity() * sizeof(LinkState) + streams_.memory_bytes() +
+           partition_.shard_of.capacity() * sizeof(std::uint32_t) +
+           partition_.boundary_edges.capacity() * sizeof(EdgeId) +
+           partition_.shard_size.capacity() * sizeof(std::uint32_t);
+}
+
+std::size_t Network::shard_bytes() const {
+    return packet_slabs_.capacity() * sizeof(std::unique_ptr<Packet[]>) +
            packet_slabs_.size() * kPacketSlabSize * sizeof(Packet) + track_bytes() +
-           packet_free_.capacity() * sizeof(Packet*);
+           packet_free_.capacity() * sizeof(Packet*) +
+           outbox_.capacity() * sizeof(RemoteArrival);
 }
 
 std::size_t Network::track_bytes() const {

@@ -1,11 +1,13 @@
 // The simulated network fabric: switches, links and packet transport.
 //
-// Network wires a graph::Graph into one SwitchingSubsystem per node and
-// one LinkState per edge, and moves packets through them on the event
-// queue. Hardware hops cost `hop_delay` (C) each; NCU processing cost is
-// the node runtime's concern (node/runtime.hpp). Port assignment is
-// deterministic: node u's port p (p >= 1) is its (p-1)-th incident edge
-// in graph insertion order; port 0 is the NCU.
+// Fabric is the network itself, built once per simulation from a
+// graph::Graph: port geometry, one LinkState per edge, node-down state,
+// the per-node streams and the shard map. Network moves packets through
+// it on one event queue, for the nodes of one shard. Hardware hops cost
+// `hop_delay` (C) each; NCU processing cost is the node runtime's concern
+// (node/runtime.hpp). Port assignment is deterministic: node u's port p
+// (p >= 1) is its (p-1)-th incident edge in graph insertion order; port 0
+// is the NCU.
 #pragma once
 
 #include <array>
@@ -17,6 +19,7 @@
 #include "common/types.hpp"
 #include "cost/metrics.hpp"
 #include "graph/graph.hpp"
+#include "graph/partition.hpp"
 #include "hw/anr.hpp"
 #include "hw/link.hpp"
 #include "hw/packet.hpp"
@@ -66,9 +69,9 @@ struct NetworkConfig {
 };
 
 /// One packet crossing a shard boundary: the cursor's state plus the
-/// arrival it was already scheduled for. The sender's shard appends these
-/// to its outbox during a window; the coordinator injects them into the
-/// target shard's mirror at the next window barrier
+/// arrival it was already scheduled for. The sender's network appends
+/// these to its outbox during a window; the coordinator injects them into
+/// the target shard's network at the next window barrier
 /// (node/parallel_cluster.hpp). The payload and a route send's forward
 /// labels are immutable and shared, read-only on both shard threads;
 /// only the cursor's track is copied (the reverse labels, plus a header
@@ -93,9 +96,9 @@ struct RemoteArrival {
 ///    and delay/loss/dup draws from per-node RNG streams
 ///    (Rng::stream(seed, 2u) and (seed, 2u + 1)), for the same reason.
 ///
-/// One instance serves every mirror network of a sharded simulation;
-/// entry u is only ever touched by u's owning shard mid-window (or by the
-/// coordinator at a barrier), so sharing is race-free.
+/// The fabric holds the one instance every shard uses; entry u is only
+/// ever touched by u's owning shard mid-window (or by the coordinator at
+/// a barrier), so sharing is race-free.
 class NodeStreams {
 public:
     /// The RNG arrays are sized only when they are drawn from: delay
@@ -111,10 +114,13 @@ public:
         FASTNET_EXPECTS_MSG(c < (1ULL << counter_bits_), "per-node priority counter exhausted");
         return ((static_cast<std::uint64_t>(ctx) + 1) << counter_bits_) | c++;
     }
-    /// Control-timeline priority for counter value `c` (context 0).
-    std::uint64_t control(std::uint64_t c) const {
-        FASTNET_EXPECTS_MSG(c < (1ULL << counter_bits_), "control priority counter exhausted");
-        return c;
+    /// Next control-timeline priority (context 0): one per link
+    /// notification, drawn by the coordinator whichever shard the
+    /// notified node lands on.
+    std::uint64_t draw_control() {
+        FASTNET_EXPECTS_MSG(control_ < (1ULL << counter_bits_),
+                            "control priority counter exhausted");
+        return control_++;
     }
     std::uint64_t next_packet_id(NodeId origin) {
         std::uint64_t& seq = send_seq_[origin];
@@ -129,46 +135,129 @@ public:
 
 private:
     unsigned counter_bits_ = 0;
+    std::uint64_t control_ = 0;
     std::vector<std::uint64_t> pri_;
     std::vector<std::uint64_t> send_seq_;
     std::vector<Rng> delay_rng_;
     std::vector<Rng> fault_rng_;
 };
 
-/// Where one network sits in a sharded simulation. The default binding
-/// is a whole simulation on one shard: the network then owns its
-/// NodeStreams and treats every node as local.
+/// The network itself, once per simulation: everything that is a function
+/// of the graph or changes only at a control barrier. Every shard's
+/// Network reads it. A topology change runs here once: the link flips,
+/// the two endpoints' control priorities are drawn, and each endpoint's
+/// notification is scheduled on the endpoint's own shard.
 ///
-/// A bound network is one shard's *mirror*: it simulates only the nodes
-/// whose `node_shard` entry is `shard`, but holds full per-edge link state
-/// so epoch/activity checks work without cross-shard reads (the
-/// coordinator applies every topology change to every mirror at a
-/// barrier, keeping the mirrors in lockstep). An arrival whose target
-/// lives on another shard goes to `emit_remote` instead of the local
-/// queue. The pointed-to arrays are owned by the coordinator.
-struct ShardBinding {
-    std::uint32_t shard = 0;
-    const std::uint32_t* node_shard = nullptr;
-    NodeStreams* streams = nullptr;
-    std::function<void(RemoteArrival&&)> emit_remote;
+/// Shards share it without locks because each field has one writer
+/// between barriers:
+///  * the coordinator writes `active`, `epoch` and the node-down state
+///    (set_link_active, fail_node, restore_node), at barriers only;
+///  * the sending endpoint's shard writes that link direction's FIFO and
+///    spacing clocks;
+///  * node u's shard writes u's NodeStreams entries.
+/// Port geometry, label width and the shard map never change.
+class Fabric {
+public:
+    /// (node notified, edge, new activity state)
+    using LinkSink = std::function<void(NodeId, EdgeId, bool)>;
+
+    /// Node u belongs to shard `partition.shard_of[u]`; one Network per
+    /// shard attaches its event queue before the simulation runs.
+    Fabric(const graph::Graph& g, const ModelParams& params, NetworkConfig config,
+           graph::Partition partition);
+
+    Fabric(const Fabric&) = delete;
+    Fabric& operator=(const Fabric&) = delete;
+
+    const graph::Partition& partition() const { return partition_; }
+    std::uint32_t shard_of(NodeId u) const { return partition_.shard_of[u]; }
+
+    /// Registers the data-link notification callback (one for the whole
+    /// network; it receives the node to notify).
+    void set_link_sink(LinkSink sink) { link_sink_ = std::move(sink); }
+    void set_link_active(EdgeId e, bool active);
+    /// Fails every link incident to `u` (the paper models an inactive
+    /// node as a node all of whose links are inactive). Links that were
+    /// already down stay attributed to their original cause.
+    void fail_node(NodeId u);
+    /// Brings back exactly the links that `u`'s failure took down and
+    /// that nothing else touched in between: a link that also failed
+    /// independently (epoch moved on) stays down, and a link whose other
+    /// endpoint is still a failed node stays down until *that* node is
+    /// restored. No-op unless the node is currently failed.
+    void restore_node(NodeId u);
+
+    /// Heap bytes of the per-node and per-edge state (link states, port
+    /// geometry, down records, NodeStreams, the partition) — a
+    /// cost::Metrics memory-ledger input.
+    std::size_t memory_bytes() const;
+
+private:
+    friend class Network;
+
+    /// One link downed by a node failure: restore_node honours the record
+    /// only if the link's epoch still matches (nothing else happened to
+    /// the link since). Records live in one pooled store chained through
+    /// per-node head indices (LIFO; consumers reverse to recover
+    /// insertion order) instead of a vector-of-vectors — node failures
+    /// are rare, but the empty per-node vectors were 24 bytes each.
+    struct DownedLink {
+        EdgeId edge = kNoEdge;
+        std::uint64_t epoch = 0;
+        std::uint32_t next = kNoDowned;
+    };
+    static constexpr std::uint32_t kNoDowned = 0xffffffffu;
+
+    void downed_push(NodeId u, EdgeId e, std::uint64_t epoch);
+    /// Pops u's whole chain into `out` in insertion order.
+    void downed_take(NodeId u, std::vector<DownedLink>& out);
+
+    const graph::Graph& graph_;
+    ModelParams params_;
+    NetworkConfig config_;
+    graph::Partition partition_;
+    NodeStreams streams_;
+    /// Each shard's event queue, by shard index.
+    std::vector<sim::Simulator*> shards_;
+    LinkSink link_sink_;
+
+    std::vector<std::uint8_t> node_down_;
+    std::vector<std::uint32_t> downed_head_;   ///< Per node; kNoDowned = none.
+    std::vector<DownedLink> downed_pool_;
+    std::vector<std::uint32_t> downed_free_;   ///< Recycled pool slots.
+
+    unsigned label_bits_ = 1;
+    /// Per-edge {port at edge.a, port at edge.b} — O(1) reverse-label
+    /// lookup in the per-hop path. The forward map (port -> edge) needs
+    /// no storage at all: port p at node u is u's (p-1)-th incident edge
+    /// in the graph's CSR, by the port-assignment rule above.
+    std::vector<std::array<PortId, 2>> edge_ports_;
+    std::vector<LinkState> links_;
 };
 
+/// One shard's packet transport over a Fabric: it runs the switches and
+/// links of the shard's nodes on the shard's event queue, and keeps what
+/// only that shard touches — its metrics, trace, monitor hub, packet pool
+/// and outbox of boundary crossings.
 class Network {
 public:
     /// Delivery dispatch for every NCU: (receiving node, delivery). The
     /// delivery is handed over by move.
     using NcuDispatch = std::function<void(NodeId, Delivery&&)>;
-    /// (node notified, edge, new activity state)
-    using LinkSink = std::function<void(NodeId, EdgeId, bool)>;
 
+    /// A whole simulation on one event queue: owns a one-shard fabric.
     Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
-            cost::Metrics& metrics, NetworkConfig config = {}, ShardBinding shard = {});
+            cost::Metrics& metrics, NetworkConfig config = {});
+    /// Shard `shard` of `fabric`, which must outlive it; `trace` and
+    /// `monitors` (either may be null) are the shard's own.
+    Network(sim::Simulator& sim, Fabric& fabric, std::uint32_t shard, cost::Metrics& metrics,
+            sim::Trace* trace, obs::MonitorHub* monitors);
 
     Network(const Network&) = delete;
     Network& operator=(const Network&) = delete;
 
-    const graph::Graph& graph() const { return graph_; }
-    const ModelParams& params() const { return params_; }
+    const graph::Graph& graph() const { return fabric_.graph_; }
+    const ModelParams& params() const { return fabric_.params_; }
     sim::Simulator& simulator() { return sim_; }
     cost::Metrics& metrics() { return metrics_; }
     /// Attached monitor hub, or null. The NCU runtimes feed it their
@@ -179,9 +268,8 @@ public:
     /// can be delivered.
     void set_ncu_dispatch(NcuDispatch dispatch);
 
-    /// Registers the data-link notification callback (one for the whole
-    /// network; it receives the node to notify).
-    void set_link_sink(LinkSink sink);
+    /// Registers the fabric's data-link notification callback.
+    void set_link_sink(Fabric::LinkSink sink) { fabric_.set_link_sink(std::move(sink)); }
 
     /// Injects a packet from `from`'s NCU. The header's first label is
     /// matched at `from`'s own switch. Enforces dmax when configured.
@@ -197,23 +285,14 @@ public:
     std::uint64_t send(NodeId from, const Route& route, std::shared_ptr<const Payload> payload,
                        std::uint64_t parent_lineage = 0);
 
-    // ---- topology dynamics -------------------------------------------
+    // ---- topology dynamics (the fabric's; see Fabric) ----------------
     void fail_link(EdgeId e) { set_link_active(e, false); }
     void restore_link(EdgeId e) { set_link_active(e, true); }
-    void set_link_active(EdgeId e, bool active);
-    bool link_active(EdgeId e) const { return links_[e].active(); }
-
-    /// Fails every link incident to `u` (the paper models an inactive
-    /// node as a node all of whose links are inactive). Links that were
-    /// already down stay attributed to their original cause.
-    void fail_node(NodeId u);
-    /// Brings back exactly the links that `u`'s failure took down and
-    /// that nothing else touched in between: a link that also failed
-    /// independently (epoch moved on) stays down, and a link whose other
-    /// endpoint is still a failed node stays down until *that* node is
-    /// restored. No-op unless the node is currently failed.
-    void restore_node(NodeId u);
-    bool node_failed(NodeId u) const { return node_down_[u] != 0; }
+    void set_link_active(EdgeId e, bool active) { fabric_.set_link_active(e, active); }
+    bool link_active(EdgeId e) const { return fabric_.links_[e].active(); }
+    void fail_node(NodeId u) { fabric_.fail_node(u); }
+    void restore_node(NodeId u) { fabric_.restore_node(u); }
+    bool node_failed(NodeId u) const { return fabric_.node_down_[u] != 0; }
 
     /// Live packet cursors (allocated, not yet released). At quiescence
     /// this must be zero — the convergence oracle's guard against
@@ -239,7 +318,7 @@ public:
 
     /// Width of one ANR label in bits: enough for every port id in the
     /// network plus the copy bit — the paper's k = O(log m).
-    unsigned label_bits() const { return label_bits_; }
+    unsigned label_bits() const { return fabric_.label_bits_; }
 
     // ---- scheduling façade -------------------------------------------
     // NCU runtimes schedule through these instead of simulator().at/after
@@ -249,14 +328,19 @@ public:
     sim::EventId schedule_after(NodeId ctx, Tick delay, sim::InlineFn fn);
     void cancel_scheduled(sim::EventId id) { sim_.cancel(id); }
 
-    /// Coordinator-side: materializes a boundary-crossing packet in this
-    /// mirror and schedules its arrival. Called only at window barriers.
+    /// Arrivals bound for other shards' nodes, appended during a window;
+    /// the coordinator drains it at the barrier.
+    std::vector<RemoteArrival>& outbox() { return outbox_; }
+    /// Coordinator-side: materializes a boundary-crossing packet on this
+    /// shard and schedules its arrival. Called only at window barriers.
     void inject_remote(const RemoteArrival& r);
 
-    /// Heap bytes held by the fabric (link states, port geometry, packet
-    /// slabs and their tracks, and its NodeStreams when it owns them) — a
-    /// cost::Metrics memory-ledger input.
-    std::size_t memory_bytes() const;
+    /// Heap bytes this network reads: the fabric's plus its own.
+    std::size_t memory_bytes() const { return fabric_.memory_bytes() + shard_bytes(); }
+    /// Heap bytes of this shard's own state (packet slabs and their
+    /// tracks, the free list, the outbox) — a cost::Metrics memory-ledger
+    /// input beside the fabric's.
+    std::size_t shard_bytes() const;
 
 private:
     // Packet flow. Packets live in a slab pool owned by the network; the
@@ -279,9 +363,9 @@ private:
     /// Heap bytes of the pooled cursors' tracks.
     std::size_t track_bytes() const;
 
-    bool local(NodeId u) const { return node_shard_[u] == shard_; }
+    bool local(NodeId u) const { return fabric_.shard_of(u) == shard_; }
     /// Schedules `pkt`'s arrival at `to` under priority `pri`: locally,
-    /// or through emit_remote when `to` lives on another shard. Returns
+    /// or through the outbox when `to` lives on another shard. Returns
     /// true in the remote case — the caller must release its local
     /// cursor once it is done reading it.
     bool schedule_arrival(Tick arrival, std::uint64_t pri, NodeId to, EdgeId e,
@@ -293,11 +377,11 @@ private:
             sim_.at_keyed(arrival, pri, [this, to, e, epoch, pkt] { arrive(to, e, epoch, pkt); });
             return false;
         }
-        hand_off(arrival, pri, to, e, epoch, *pkt);
+        outbox_.push_back(RemoteArrival{arrival, pri, to, e, epoch, *pkt});
         return true;
     }
-    void hand_off(Tick arrival, std::uint64_t pri, NodeId to, EdgeId e, std::uint64_t epoch,
-                  const Packet& pkt);
+    /// The standalone constructor's second half, once `own` exists.
+    Network(sim::Simulator& sim, std::unique_ptr<Fabric> own, cost::Metrics& metrics);
     /// True when monitor events must be built (attached hub with at
     /// least one monitor registered).
     bool watched() const { return monitors_ != nullptr && monitors_->active(); }
@@ -305,66 +389,25 @@ private:
     /// bumps the specific metrics counter and releases the packet.
     void note_drop(NodeId node, EdgeId e, const Packet& pkt, sim::DropReason reason);
 
+    /// Set only by the standalone constructor; fabric_ refers to it.
+    std::unique_ptr<Fabric> own_fabric_;
+    Fabric& fabric_;
+    std::uint32_t shard_ = 0;
     sim::Simulator& sim_;
-    const graph::Graph& graph_;
-    ModelParams params_;
     cost::Metrics& metrics_;
-    NetworkConfig config_;
-    /// Raw view of config_.trace — one pointer test on the hot paths
-    /// instead of a shared_ptr dereference.
+    /// The shard's trace, or null — one pointer test on the hot paths.
     sim::Trace* trace_ = nullptr;
-    /// Raw view of config_.monitors, same rationale. Hooks guard with
+    /// The shard's monitor hub, or null. Hooks guard with
     /// `monitors_ != nullptr && monitors_->active()` before building an
     /// event, so an absent or empty hub never allocates.
     obs::MonitorHub* monitors_ = nullptr;
 
-    // Shard wiring (see ShardBinding). An unbound network owns its
-    // streams and an all-zero shard map.
-    std::uint32_t shard_ = 0;
-    const std::uint32_t* node_shard_ = nullptr;
-    NodeStreams* streams_ = nullptr;
-    std::function<void(RemoteArrival&&)> emit_remote_;
-    std::unique_ptr<NodeStreams> own_streams_;
-    std::vector<std::uint32_t> own_shard_of_;
-    /// Control-timeline priority counter. Every mirror replays the whole
-    /// control timeline, so these advance in lockstep across mirrors and
-    /// a notification's priority is independent of the partition.
-    std::uint64_t ctl_pri_ = 0;
-
-    /// One link downed by a node failure: restore_node honours the record
-    /// only if the link's epoch still matches (nothing else happened to
-    /// the link since). Records live in one pooled store chained through
-    /// per-node head indices (LIFO; consumers reverse to recover
-    /// insertion order) instead of a vector-of-vectors — node failures
-    /// are rare, but the empty per-node vectors were 24 bytes each.
-    struct DownedLink {
-        EdgeId edge = kNoEdge;
-        std::uint64_t epoch = 0;
-        std::uint32_t next = kNoDowned;
-    };
-    static constexpr std::uint32_t kNoDowned = 0xffffffffu;
-    std::vector<std::uint8_t> node_down_;
-    std::vector<std::uint32_t> downed_head_;   ///< Per node; kNoDowned = none.
-    std::vector<DownedLink> downed_pool_;
-    std::vector<std::uint32_t> downed_free_;   ///< Recycled pool slots.
-
-    void downed_push(NodeId u, EdgeId e, std::uint64_t epoch);
-    /// Pops u's whole chain into `out` in insertion order.
-    void downed_take(NodeId u, std::vector<DownedLink>& out);
-
-    unsigned label_bits_ = 1;
-    /// Per-edge {port at edge.a, port at edge.b} — O(1) reverse-label
-    /// lookup in the per-hop path. The forward map (port -> edge) needs
-    /// no storage at all: port p at node u is u's (p-1)-th incident edge
-    /// in the graph's CSR, by the port-assignment rule above.
-    std::vector<std::array<PortId, 2>> edge_ports_;
-    std::vector<LinkState> links_;
     NcuDispatch ncu_dispatch_;
-    LinkSink link_sink_;
 
     static constexpr std::size_t kPacketSlabSize = 64;
     std::vector<std::unique_ptr<Packet[]>> packet_slabs_;
     std::vector<Packet*> packet_free_;
+    std::vector<RemoteArrival> outbox_;
 };
 
 }  // namespace fastnet::hw

@@ -43,19 +43,20 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
     FASTNET_EXPECTS(factory_ != nullptr);
     const NodeId n = graph_.node_count();
 
-    part_ = graph::partition_bfs(graph_, config_.shards == 0 ? 1 : config_.shards);
-    if (!part_.boundary_edges.empty()) {
+    graph::Partition part =
+        graph::partition_bfs(graph_, config_.shards == 0 ? 1 : config_.shards);
+    if (!part.boundary_edges.empty()) {
         const Tick link_min = min_hop_delay(config_.params, config_.net);
         if (link_min <= 0) {
             // Zero lookahead: a boundary packet could arrive "now", so no
             // window is safe. Degrade to one shard rather than reject —
             // the caller's configuration stays runnable, just serial.
-            part_ = graph::partition_bfs(graph_, 1);
+            part = graph::partition_bfs(graph_, 1);
         } else {
             lookahead_ = link_min;
         }
     }
-    const unsigned shard_count = part_.shard_count;
+    const unsigned shard_count = part.shard_count;
     threads_ = shard_count == 1
                    ? 1
                    : (config_.threads != 0
@@ -65,7 +66,11 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
 
     hw::NetworkConfig net_cfg = config_.net;
     net_cfg.seed = config_.seed ^ 0x9e3779b97f4a7c15ULL;
-    streams_ = std::make_unique<hw::NodeStreams>(n, config_.params, net_cfg);
+    fabric_ = std::make_unique<hw::Fabric>(graph_, config_.params, std::move(net_cfg),
+                                           std::move(part));
+    fabric_->set_link_sink([this](NodeId at, EdgeId e, bool up) {
+        runtimes_[at]->on_link_notification(e, up);
+    });
 
     shards_.reserve(shard_count);
     for (unsigned s = 0; s < shard_count; ++s) {
@@ -99,22 +104,10 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
             config_.monitor_setup(*sh->monitors);
             sh->monitors->attach_trace(sh->trace.get());
         }
-        net_cfg.trace = sh->trace;
-        net_cfg.monitors = sh->monitors;
-        hw::ShardBinding binding;
-        binding.shard = s;
-        binding.node_shard = part_.shard_of.data();
-        binding.streams = streams_.get();
-        binding.emit_remote = [this, s](hw::RemoteArrival&& r) {
-            shards_[s]->outbox.push_back(std::move(r));
-        };
-        sh->net = std::make_unique<hw::Network>(sh->sim, graph_, config_.params,
-                                                *sh->metrics, net_cfg, std::move(binding));
+        sh->net = std::make_unique<hw::Network>(sh->sim, *fabric_, s, *sh->metrics,
+                                                sh->trace.get(), sh->monitors.get());
         sh->net->set_ncu_dispatch(
             [this](NodeId at, hw::Delivery&& d) { runtimes_[at]->on_delivery(std::move(d)); });
-        sh->net->set_link_sink([this](NodeId at, EdgeId e, bool up) {
-            runtimes_[at]->on_link_notification(e, up);
-        });
         shards_.push_back(std::move(sh));
     }
 
@@ -123,7 +116,7 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
     Rng master(config_.seed);
     runtimes_.reserve(n);
     for (NodeId u = 0; u < n; ++u) {
-        Shard& sh = *shards_[part_.shard_of[u]];
+        Shard& sh = *shards_[fabric_->shard_of(u)];
         void* slot = sh.arena.allocate(sizeof(NodeRuntime), alignof(NodeRuntime));
         NodeRuntime* rt = new (slot) NodeRuntime(u, *sh.net, factory_(u), master.fork(), sh.arena,
                                                  config_.ncu_delay_min, config_.free_multisend);
@@ -220,28 +213,28 @@ void ParallelCluster::apply_action(const ScenarioAction& a) {
             runtime(a.node).request_start(a.at);
             break;
         case ScenarioAction::Kind::kFailLink:
-            for (auto& sh : shards_) sh->net->fail_link(a.edge);
+            fabric_->set_link_active(a.edge, false);
             break;
         case ScenarioAction::Kind::kRestoreLink:
-            for (auto& sh : shards_) sh->net->restore_link(a.edge);
+            fabric_->set_link_active(a.edge, true);
             break;
         case ScenarioAction::Kind::kFailNode:
-            for (auto& sh : shards_) sh->net->fail_node(a.node);
+            fabric_->fail_node(a.node);
             break;
         case ScenarioAction::Kind::kRestoreNode:
-            for (auto& sh : shards_) sh->net->restore_node(a.node);
+            fabric_->restore_node(a.node);
             break;
         case ScenarioAction::Kind::kCrashNode:
             if (runtime(a.node).crashed()) break;
-            // Hardware first in every mirror (links down, epochs bump,
-            // in-flight packets die), then the owning shard's software
-            // loses its soft state: queued work, timers, the protocol.
-            for (auto& sh : shards_) sh->net->fail_node(a.node);
+            // Hardware first (links down, epochs bump, in-flight packets
+            // die), then the owning shard's software loses its soft state:
+            // queued work, timers, the protocol.
+            fabric_->fail_node(a.node);
             runtime(a.node).crash();
             break;
         case ScenarioAction::Kind::kRestartNode:
             if (!runtime(a.node).crashed()) break;
-            for (auto& sh : shards_) sh->net->restore_node(a.node);
+            fabric_->restore_node(a.node);
             runtime(a.node).restart(factory_(a.node));
             break;
         case ScenarioAction::Kind::kStallNode:
@@ -288,16 +281,17 @@ void ParallelCluster::run_window(Tick until) {
     // dispatch order per target hub, is a pure function of the run.
     std::vector<hw::RemoteArrival> pending;
     for (auto& sh : shards_) {
-        pending.insert(pending.end(), std::make_move_iterator(sh->outbox.begin()),
-                       std::make_move_iterator(sh->outbox.end()));
-        sh->outbox.clear();
+        std::vector<hw::RemoteArrival>& outbox = sh->net->outbox();
+        pending.insert(pending.end(), std::make_move_iterator(outbox.begin()),
+                       std::make_move_iterator(outbox.end()));
+        outbox.clear();
     }
     std::sort(pending.begin(), pending.end(),
               [](const hw::RemoteArrival& a, const hw::RemoteArrival& b) {
                   return a.at != b.at ? a.at < b.at : a.pri < b.pri;
               });
     for (const hw::RemoteArrival& r : pending)
-        shards_[part_.shard_of[r.to]]->net->inject_remote(r);
+        shards_[fabric_->shard_of(r.to)]->net->inject_remote(r);
 }
 
 void ParallelCluster::window_loop(Tick limit) {
@@ -311,7 +305,7 @@ void ParallelCluster::window_loop(Tick limit) {
         if (limit != kNever && t0 > limit) break;
         if (tc <= te) {
             // Control barrier: all clocks meet at tc, then the timeline's
-            // due actions replay into every mirror, single-threaded.
+            // due actions run once, single-threaded.
             advance_all_to(tc);
             apply_control_at(tc);
             continue;
@@ -372,7 +366,7 @@ bool ParallelCluster::quiescent() const {
     if (next_action_ < actions_.size()) return false;
     for (const auto& sh : shards_) {
         if (!sh->sim.idle()) return false;
-        if (!sh->outbox.empty()) return false;
+        if (!sh->net->outbox().empty()) return false;
     }
     for (const auto& rt : runtimes_)
         if (!rt->ncu_idle()) return false;
@@ -383,15 +377,11 @@ void ParallelCluster::sample_memory() {
     cost::MemorySample s;
     s.at = now();
     s.breakdown.graph = graph_.memory_bytes();
-    // Coordinator state: the shared per-node streams, the shard map and
-    // the runtime index.
-    s.breakdown.network = streams_->memory_bytes() +
-                          part_.shard_of.capacity() * sizeof(std::uint32_t) +
-                          part_.boundary_edges.capacity() * sizeof(EdgeId) +
-                          part_.shard_size.capacity() * sizeof(std::uint32_t) +
-                          runtimes_.capacity() * sizeof(runtimes_[0]);
+    // The fabric once, the runtime index, and each shard's own packets.
+    s.breakdown.network =
+        fabric_->memory_bytes() + runtimes_.capacity() * sizeof(runtimes_[0]);
     for (const auto& sh : shards_) {
-        s.breakdown.network += sh->net->memory_bytes();
+        s.breakdown.network += sh->net->shard_bytes();
         s.breakdown.arena_used += sh->arena.bytes_used();
         s.breakdown.arena_reserved += sh->arena.bytes_reserved();
         if (sh->trace != nullptr) s.breakdown.trace += sh->trace->resident_bytes();
@@ -407,7 +397,7 @@ void ParallelCluster::sample_memory() {
             s.max_node_bytes = node_bytes;
             s.max_node = u;
         }
-        obs::MonitorHub* hub = shards_[part_.shard_of[u]]->monitors.get();
+        obs::MonitorHub* hub = shards_[fabric_->shard_of(u)]->monitors.get();
         if (hub != nullptr && hub->active()) {
             obs::MonitorEvent ev;
             ev.kind = obs::MonitorEvent::Kind::kMemory;
@@ -427,7 +417,7 @@ void ParallelCluster::set_profile(bool on) {
     // entries the construction-time registration created.
     for (NodeId u = 0; u < graph_.node_count(); ++u) {
         NodeRuntime& rt = *runtimes_[u];
-        cost::Profiler& profiler = shards_[part_.shard_of[u]]->metrics->profiler();
+        cost::Profiler& profiler = shards_[fabric_->shard_of(u)]->metrics->profiler();
         rt.set_profile_id(on ? profiler.register_protocol(rt.protocol().name())
                              : cost::Profiler::kNoProtocol);
     }

@@ -1,15 +1,16 @@
 // Spatially-partitioned parallel event kernel (conservative PDES).
 //
 // ParallelCluster runs ONE simulation across several shards: the graph
-// is partitioned (graph/partition.hpp), each shard gets a full mirror
-// hw::Network + its local NCU runtimes over its own sim::Simulator, and
-// shards execute concurrently on an exec::ThreadPool in bounded time
-// windows. The window width is the *lookahead* L — the minimum per-hop
-// delay over boundary edges: a packet leaving shard A at time t cannot
-// arrive in shard B before t + L, so shards may run [t, t + L) without
-// hearing from each other. Arrivals that cross a boundary land in a
-// per-shard outbox and are injected into the target mirror at the next
-// window barrier.
+// is partitioned (graph/partition.hpp), one hw::Fabric holds the
+// network's link state for all of them, and each shard gets an
+// hw::Network over that fabric + its local NCU runtimes over its own
+// sim::Simulator. Shards execute concurrently on an exec::ThreadPool in
+// bounded time windows. The window width is the *lookahead* L — the
+// minimum per-hop delay over boundary edges: a packet leaving shard A at
+// time t cannot arrive in shard B before t + L, so shards may run
+// [t, t + L) without hearing from each other. Arrivals that cross a
+// boundary land in the sending network's outbox and are injected into
+// the target shard's network at the next window barrier.
 //
 // Determinism contract (guarded by tests/test_parallel_sim.cpp): for a
 // fixed shard count, the merged metrics / trace / violations serialize
@@ -21,13 +22,14 @@
 //  * event tie-breaks use per-node priority counters advanced by the
 //    scheduling context's own execution order (hw::NodeStreams);
 //  * packet ids / delay / fault draws come from per-node streams;
-//  * the control timeline (starts, failures, phase marks) executes at
-//    window barriers, replayed identically into every mirror;
+//  * the control timeline (starts, failures, phase marks) executes once,
+//    at window barriers, while no shard runs; a link change draws its
+//    endpoints' notification priorities from one counter (hw::Fabric);
 //  * merges sort by simulated coordinates only: trace records by
 //    (at, node), violations by (at, node), cross-shard arrivals by
 //    (at, pri).
 //
-// At shards = 1 (the default) there is one mirror, no boundary, and
+// At shards = 1 (the default) there is one network, no boundary, and
 // windows collapse to one run-to-quiescence call: the same schedule,
 // just without threads. Every simulation in the repository runs on this
 // kernel.
@@ -132,12 +134,12 @@ public:
     /// Window width in ticks; kNever when there are no boundary edges
     /// (single shard) — one window runs to quiescence.
     Tick lookahead() const { return lookahead_; }
-    const graph::Partition& partition() const { return part_; }
+    const graph::Partition& partition() const { return fabric_->partition(); }
 
     // ---- control timeline --------------------------------------------
-    // All control is scripted: actions execute at window barriers, in
-    // time order (registration order on ties), identically into every
-    // mirror. `at` must not be in the past once the run has begun.
+    // All control is scripted: actions execute once, at window barriers,
+    // in time order (registration order on ties). `at` must not be in
+    // the past once the run has begun.
     void start(NodeId u, Tick at = 0);
     void start_all(Tick at = 0);
     void mark_phase(Tick at, std::uint64_t phase);
@@ -165,8 +167,8 @@ public:
     bool quiescent() const;
 
     /// Takes one memory sample now: the whole cluster's footprint
-    /// (graph, mirrors, per-node streams, shard arenas, runtimes,
-    /// protocols, traces) into the memory ledger merged_metrics()
+    /// (graph, the fabric once, each shard's packet pool, shard arenas,
+    /// runtimes, protocols, traces) into the memory ledger merged_metrics()
     /// reports — and its bytes/node into the sampling series when
     /// sampling is on — plus one kMemory monitor event per node to its
     /// shard's hub (what MemoryBudgetMonitor watches). It reads state
@@ -211,10 +213,11 @@ public:
     bool monitors_ok() const { return violation_count() == 0; }
 
     // ---- per-shard / oracle surface ----------------------------------
-    /// Shard s's mirror network (full link state, local nodes live).
+    /// Shard s's network. Every shard reads the same fabric, so link and
+    /// node state read through any shard cover the whole graph.
     hw::Network& mirror(unsigned s) { return *shards_[s]->net; }
     const hw::Network& mirror(unsigned s) const { return *shards_[s]->net; }
-    /// Live packet cursors across all mirrors (0 at quiescence).
+    /// Live packet cursors across all shards (0 at quiescence).
     std::size_t packets_in_flight() const;
 
     /// The owning shard's protocol instance for node u.
@@ -243,8 +246,6 @@ private:
         /// threshold and moves later large buffers onto the heap, which
         /// raised peak RSS across repeated clusters.
         util::Arena arena{std::size_t{96} << 10};
-        /// Boundary-crossing arrivals emitted during the last window.
-        std::vector<hw::RemoteArrival> outbox;
     };
     /// Destroys an arena-resident runtime in place; the arena owns the
     /// bytes.
@@ -262,8 +263,8 @@ private:
     void apply_control_at(Tick t);
     void apply_action(const ScenarioAction& a);
     /// Runs every shard until `until` (inclusive), inline for one shard,
-    /// on the pool otherwise; then drains outboxes into target mirrors
-    /// in (at, pri) order.
+    /// on the pool otherwise; then drains the networks' outboxes into
+    /// the target shards in (at, pri) order.
     void run_window(Tick until);
     /// The window loop; `limit` == kNever runs to quiescence.
     void window_loop(Tick limit);
@@ -271,12 +272,12 @@ private:
     graph::Graph graph_;
     ProtocolFactory factory_;
     ParallelClusterConfig config_;
-    graph::Partition part_;
     Tick lookahead_ = kNever;
     unsigned threads_ = 1;
 
-    /// Per-node keyed-scheduling state shared by every mirror.
-    std::unique_ptr<hw::NodeStreams> streams_;
+    /// The network's state, shared by every shard; declared before
+    /// shards_ so it outlives their networks.
+    std::unique_ptr<hw::Fabric> fabric_;
 
     std::vector<std::unique_ptr<Shard>> shards_;
     /// Node u's runtime, in its shard's arena. Declared after shards_ so

@@ -57,9 +57,9 @@ struct MonitorEvent {
         kDrop,     ///< Packet died (any DropReason).
         kDup,      ///< Link-layer duplicate minted (a new live copy).
         kRetire,   ///< Packet cursor released (delivered, dropped or done).
-        kHandoff,  ///< Parallel kernel: packet entered this shard's mirror
-                   ///< from another shard (a new live copy *here*; the
-                   ///< sender's mirror retired its cursor at the boundary).
+        kHandoff,  ///< Parallel kernel: packet entered this shard from
+                   ///< another shard (a new live copy *here*; the
+                   ///< sender's shard retired its cursor at the boundary).
         kEnqueue,  ///< Work item queued at an NCU.
         kInvoke,   ///< NCU handler completed.
         kPhase,    ///< Experiment phase marker.
@@ -108,7 +108,7 @@ public:
 };
 
 /// The registry. One per shard of a simulation, shared by that shard's
-/// mirror network and runtimes and filled by
+/// network and runtimes and filled by
 /// node::ParallelClusterConfig::monitor_setup; never shared across
 /// concurrently running shards or clusters — like sim::Trace it is
 /// single-run state, which is what keeps parallel runs deterministic.
@@ -254,8 +254,8 @@ private:
 /// admission control) poll their own node's flag. One byte per node, no
 /// callback coupling — and deterministic, because producer and consumer
 /// live inside the same simulation. Wire one board per case/cluster;
-/// sharing a board across concurrently-running cases or shard mirrors
-/// would break replay determinism.
+/// sharing a board across concurrently-running cases or shards would
+/// break replay determinism.
 class PressureBoard {
 public:
     bool over(NodeId u) const { return u < over_.size() && over_[u] != 0; }

@@ -248,8 +248,8 @@ bool view_converged(const TopologyMaintenance& proto, const hw::Network& net, No
 }
 
 bool all_views_converged(node::ParallelCluster& cluster) {
-    // Every mirror replays the same control timeline, so mirror 0's link
-    // states are ground truth for every node.
+    // Every shard reads the same fabric, so shard 0's link states are
+    // ground truth for every node.
     for (NodeId u = 0; u < cluster.node_count(); ++u) {
         const auto& p = cluster.protocol_as<TopologyMaintenance>(u);
         if (!view_converged(p, cluster.mirror(0), u)) return false;
