@@ -244,5 +244,36 @@ TEST(MemoryLedger, RecordTracksPeakAndResetClears) {
     EXPECT_EQ(m.peak_node_bytes(), 0u);
 }
 
+TEST(MemoryLedger, FabricCountedOnceAtAnyShardCount) {
+    // Every shard reads one fabric, so more shards add only the
+    // partition's per-shard vectors to the network line — never another
+    // copy of the link state or the per-node arrays.
+    struct Line {
+        std::uint64_t network = 0;
+        std::size_t partition_vectors = 0;
+    };
+    const auto measure = [](unsigned shards) {
+        node::ParallelClusterConfig cfg;
+        cfg.params.hop_delay = 1;
+        cfg.shards = shards;
+        cfg.threads = 1;
+        node::ParallelCluster cluster(
+            graph::make_cycle(4096), [](NodeId) { return std::make_unique<Relay>(); }, cfg);
+        EXPECT_EQ(cluster.shard_count(), shards);
+        cluster.sample_memory();
+        const cost::Metrics metrics = cluster.merged_metrics();
+        const graph::Partition& part = cluster.partition();
+        return Line{metrics.memory()->breakdown.network,
+                    part.boundary_edges.capacity() * sizeof(EdgeId) +
+                        part.shard_size.capacity() * sizeof(std::uint32_t)};
+    };
+    const Line one = measure(1);
+    ASSERT_GT(one.network, 0u);
+    for (unsigned shards : {2u, 4u, 8u}) {
+        const Line line = measure(shards);
+        EXPECT_LE(line.network, one.network + line.partition_vectors) << shards << " shards";
+    }
+}
+
 }  // namespace
 }  // namespace fastnet
