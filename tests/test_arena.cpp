@@ -1,9 +1,9 @@
 // Tests for the scale-oriented storage primitives behind the arena/SoA
 // node-state refactor: util::Arena (bump allocation, O(1) reset with
-// chunk reuse, stable addresses), util::RingQueue (the deque replacement
-// for NCU work queues) and util::FlatMap64 (the monitors' compact
-// ledger). These are the structures a million-node cluster stands on;
-// docs/PERF.md "Memory at scale" explains why each exists.
+// chunk reuse, stable addresses), util::BlockQueue (the NCU work queues)
+// and util::FlatMap64 (the monitors' compact ledger). These are the
+// structures a million-node cluster stands on; docs/PERF.md "Memory at
+// scale" explains why each exists.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "util/arena.hpp"
 #include "util/block_queue.hpp"
 #include "util/flat_map.hpp"
-#include "util/ring_queue.hpp"
 
 namespace fastnet::util {
 namespace {
@@ -112,73 +111,6 @@ TEST(Arena, ZeroSizeAllocationYieldsDistinctAddresses) {
     void* p = a.allocate(0);
     void* q = a.allocate(0);
     EXPECT_NE(p, q);
-}
-
-// ---- RingQueue -----------------------------------------------------------
-
-TEST(RingQueue, EmptyQueueOwnsNoMemory) {
-    RingQueue<std::uint64_t> q;
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.capacity(), 0u);
-    EXPECT_EQ(q.memory_bytes(), 0u);
-}
-
-TEST(RingQueue, PreservesFifoOrderAcrossGrowthAndWraparound) {
-    RingQueue<int> q;
-    int next_push = 0, next_pop = 0;
-    // Interleaved push/pop drives head_ around the buffer while the
-    // queue repeatedly doubles — both the wrap and the relocation paths.
-    for (int round = 0; round < 200; ++round) {
-        for (int i = 0; i < 3; ++i) q.push_back(next_push++);
-        for (int i = 0; i < 2 && !q.empty(); ++i) {
-            ASSERT_EQ(q.front(), next_pop);
-            q.pop_front();
-            ++next_pop;
-        }
-    }
-    while (!q.empty()) {
-        ASSERT_EQ(q.front(), next_pop++);
-        q.pop_front();
-    }
-    EXPECT_EQ(next_pop, next_push);
-}
-
-TEST(RingQueue, RunsNonTrivialDestructors) {
-    auto counter = std::make_shared<int>(0);
-    struct Probe {
-        std::shared_ptr<int> c;
-        ~Probe() {
-            if (c) ++*c;
-        }
-        Probe(std::shared_ptr<int> p) : c(std::move(p)) {}
-        Probe(Probe&& o) = default;
-    };
-    {
-        RingQueue<Probe> q;
-        for (int i = 0; i < 10; ++i) q.push_back(Probe(counter));
-        q.pop_front();
-        q.pop_front();
-        EXPECT_EQ(*counter, 2);
-        q.clear();
-        EXPECT_EQ(*counter, 10);
-        for (int i = 0; i < 3; ++i) q.push_back(Probe(counter));
-    }  // dtor destroys the remaining 3
-    EXPECT_EQ(*counter, 13);
-}
-
-TEST(RingQueue, FrontAndPopOnEmptyAreContractViolations) {
-    RingQueue<int> q;
-    EXPECT_THROW(q.front(), fastnet::ContractViolation);
-    EXPECT_THROW(q.pop_front(), fastnet::ContractViolation);
-}
-
-TEST(RingQueue, ClearKeepsBufferForReuse) {
-    RingQueue<int> q;
-    for (int i = 0; i < 100; ++i) q.push_back(i);
-    const std::size_t cap = q.capacity();
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.capacity(), cap);
 }
 
 // ---- BlockQueue ----------------------------------------------------------
