@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace fastnet::obs {
 
 void Monitor::on_finish(MonitorHub&, Tick) {}
@@ -266,24 +268,10 @@ std::string violations_json(const MonitorHub& hub, const std::string& name) {
 std::string violations_json(std::size_t monitor_count, std::uint64_t violation_count,
                             const std::vector<Violation>& violations,
                             const std::string& name) {
-    auto quote = [](const std::string& s) {
-        std::string out = "\"";
-        for (char c : s) {
-            switch (c) {
-                case '"': out += "\\\""; break;
-                case '\\': out += "\\\\"; break;
-                case '\n': out += "\\n"; break;
-                case '\t': out += "\\t"; break;
-                default: out += c; break;
-            }
-        }
-        out += '"';
-        return out;
-    };
     std::string out = "{\n";
     out += "  \"fastnet_monitors\": 1,\n";
     out += "  \"name\": ";
-    out += quote(name);
+    out += json_quote(name);
     out += ",\n";
     out += "  \"monitors\": " + std::to_string(monitor_count) + ",\n";
     out += "  \"violation_count\": " + std::to_string(violation_count) + ",\n";
@@ -296,13 +284,13 @@ std::string violations_json(std::size_t monitor_count, std::uint64_t violation_c
         if (!first) out += ',';
         first = false;
         out += "\n    {\"monitor\": ";
-        out += quote(v.monitor);
+        out += json_quote(v.monitor);
         out += ", \"at\": " + std::to_string(v.at);
         out += ", \"node\": ";
         out += v.node == kNoNode ? std::string("null") : std::to_string(v.node);
         out += ", \"lineage\": " + std::to_string(v.lineage);
         out += ", \"message\": ";
-        out += quote(v.message);
+        out += json_quote(v.message);
         out += '}';
     }
     if (!first) out += "\n  ";

@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "obs/json.hpp"
 #include "obs/monitor.hpp"
 #include "sim/trace.hpp"
 #include "topo/broadcast_protocols.hpp"
@@ -246,6 +247,29 @@ TEST(Monitor, ViolationsJsonIsWellFormedAndDeterministic) {
     EXPECT_NE(a.find("\"fastnet_monitors\": 1"), std::string::npos);
     EXPECT_NE(a.find("\"violation_count\": 1"), std::string::npos);
     EXPECT_NE(a.find("lineage_conservation"), std::string::npos);
+}
+
+TEST(Monitor, ViolationsJsonEscapesControlCharacters) {
+    // A monitor's message is free text: a raw control character in the
+    // export would make the document unparseable.
+    struct Noisy : Monitor {
+        const char* name() const override { return "noisy"; }
+        void on_event(MonitorHub& hub, const MonitorEvent& e) override {
+            hub.report(*this, e.at, e.node, e.lineage, "line\rfeed \x01 bell");
+        }
+    };
+    MonitorHub hub;
+    hub.add(std::make_unique<Noisy>());
+    hub.dispatch(ev(MonitorEvent::Kind::kSend, 1, 2, 5));
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(json_parse(violations_json(hub, "vj"), doc, &error)) << error;
+    const JsonValue* list = doc.find("violations");
+    ASSERT_NE(list, nullptr);
+    ASSERT_EQ(list->array.size(), 1u);
+    const JsonValue* message = list->array[0].find("message");
+    ASSERT_NE(message, nullptr);
+    EXPECT_EQ(message->string, "line\rfeed \x01 bell");
 }
 
 }  // namespace
