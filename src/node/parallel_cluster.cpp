@@ -342,7 +342,9 @@ Tick ParallelCluster::run() {
     }
     // Spill finalization runs after the monitors so their kViolation
     // records land in the file; trace stats then fold into each shard's
-    // ledger (merged_metrics sums them).
+    // ledger (merged_metrics sums them). A segment whose write failed
+    // counts its records as dropped, so the stats report the loss; the
+    // kTraceDrop event above saw every drain but the last.
     for (auto& sh : shards_) {
         if (sh->trace == nullptr) continue;
         if (sh->trace->spill_enabled()) sh->trace->finish_spill();

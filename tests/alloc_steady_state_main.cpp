@@ -327,6 +327,64 @@ int check_call_agent_steady_state() {
     return 0;
 }
 
+/// Spill guard: once a spilling trace has drained its first full ring,
+/// a drain allocates nothing. The writer sorts in the key arrays it
+/// kept from the first drain and encodes through its one fixed block.
+int check_spill_drains() {
+    using namespace fastnet;
+    constexpr std::size_t kRing = 4096;
+    constexpr unsigned kDrains = 8;
+    sim::Trace trace(kRing, std::size_t{1} << 16);
+    sim::TraceSpillConfig spill;
+    spill.path = "fastnet_alloc_test.fnspill";
+    std::string error;
+    if (!trace.enable_spill(spill, &error)) {
+        std::fprintf(stderr, "FAIL: %s\n", error.c_str());
+        return 1;
+    }
+    // A run's shape: hops over a few nodes at rising ticks, now and then
+    // a network-scope record and a detail.
+    std::uint64_t seq = 0;
+    const auto record_ring = [&] {
+        for (std::size_t i = 0; i < kRing; ++i, ++seq) {
+            const auto at = static_cast<Tick>(seq / 3);
+            if (seq % 97 == 0) {
+                trace.record_detail(at, kNoNode, sim::TraceKind::kViolation, "over budget",
+                                    {seq, 1, 0, 0, 0});
+            } else {
+                trace.record(at, static_cast<NodeId>(seq % 61), sim::TraceKind::kHop,
+                             {seq, seq % 5, 1, static_cast<std::uint64_t>(at), 0});
+            }
+        }
+    };
+    record_ring();
+    record_ring();  // the first drain sizes the writer's keys
+
+    const std::uint64_t before = g_allocs;
+    for (unsigned d = 0; d < kDrains; ++d) record_ring();
+    const std::uint64_t steady = g_allocs - before;
+
+    const std::uint64_t segments = trace.spill_segments();
+    const bool finished = trace.finish_spill();
+    std::remove(spill.path.c_str());
+    if (!finished || segments != 1 + kDrains || trace.dropped() != 0) {
+        std::fprintf(stderr, "FAIL: spill wrote %llu segments (want %u), finish %s\n",
+                     static_cast<unsigned long long>(segments), 1 + kDrains,
+                     finished ? "ok" : "failed");
+        return 1;
+    }
+    if (steady != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %llu allocations across %u warm spill drains of %zu records "
+                     "(budget 0)\n",
+                     static_cast<unsigned long long>(steady), kDrains, kRing);
+        return 1;
+    }
+    std::printf("OK: 0 allocations across %u warm spill drains of %zu records each\n",
+                kDrains, kRing);
+    return 0;
+}
+
 }  // namespace
 
 int main() {
@@ -399,5 +457,6 @@ int main() {
     if (const int rc = check_cluster_build()) return rc;
     if (const int rc = check_cluster_steady_state()) return rc;
     if (const int rc = check_maintenance_rounds()) return rc;
-    return check_call_agent_steady_state();
+    if (const int rc = check_call_agent_steady_state()) return rc;
+    return check_spill_drains();
 }
