@@ -76,11 +76,6 @@ public:
         for (const Window& w : windows_) n += w.count;
         return n;
     }
-    double total_sum() const {
-        double s = 0;
-        for (const Window& w : windows_) s += w.sum;
-        return s;
-    }
 
 private:
     Tick window_;

@@ -58,9 +58,6 @@ void append_route(std::span<const NodeId> path, const PortMap& ports, CopyMode m
 /// ANR(o,i) to return to its origin.
 AnrHeader splice(AnrHeader a, const AnrHeader& b);
 
-/// Number of link ids in the header — the quantity restricted by dmax.
-inline std::size_t header_length(const AnrHeader& h) { return h.size(); }
-
 /// The canonical port assignment used by hw::Network: node u's port p
 /// (p >= 1) is its (p-1)-th incident edge in graph insertion order. Any
 /// component that knows the graph can therefore derive ports without

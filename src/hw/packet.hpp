@@ -122,13 +122,12 @@ private:
 /// (shared by every copy the hardware makes), mirroring how a copied
 /// packet carries identical bits to every NCU on the path.
 ///
-/// Concrete payload types should derive TypedPayload<T> (below) so that
-/// payload_as<T> is a pointer compare instead of a dynamic_cast.
+/// Concrete payload types derive TypedPayload<T> (below), so that
+/// payload_as<T> is a pointer compare.
 struct Payload {
     virtual ~Payload() = default;
 
-    /// O(1) type tag; set by the TypedPayload<T> constructor, nullptr for
-    /// legacy RTTI-only payloads.
+    /// O(1) type tag; set by the TypedPayload<T> constructor.
     const void* fastnet_type_tag = nullptr;
 };
 
@@ -144,14 +143,6 @@ struct TypedPayload : Payload {
         return &unique;
     }
 };
-
-namespace detail {
-template <typename T, typename = void>
-struct allows_rtti_payload : std::false_type {};
-template <typename T>
-struct allows_rtti_payload<T, std::void_t<decltype(T::kRttiPayload)>>
-    : std::bool_constant<T::kRttiPayload> {};
-}  // namespace detail
 
 /// Labels a packet or delivery keeps: a short track in place (every hop
 /// of a dense-graph broadcast path, a one-hop send's whole route), a
@@ -249,22 +240,15 @@ private:
 // Every queued NCU work item is this wide (node/runtime.hpp).
 static_assert(sizeof(Delivery) <= 72, "keep queued deliveries compact");
 
-/// Convenience downcast for payloads; returns nullptr on type mismatch.
-/// O(1) tag compare for TypedPayload types; types that cannot derive it
-/// must opt into the RTTI fallback with
-/// `static constexpr bool kRttiPayload = true;`.
+/// Convenience downcast for payloads: an O(1) tag compare; returns
+/// nullptr on type mismatch.
 template <typename T>
 const T* payload_as(const Delivery& d) {
-    if constexpr (std::is_base_of_v<TypedPayload<T>, T>) {
-        if (d.payload != nullptr && d.payload->fastnet_type_tag == TypedPayload<T>::tag())
-            return static_cast<const T*>(d.payload.get());
-        return nullptr;
-    } else {
-        static_assert(detail::allows_rtti_payload<T>::value,
-                      "payload types should derive hw::TypedPayload<T>; test-only types may "
-                      "opt into dynamic_cast with `static constexpr bool kRttiPayload = true`");
-        return dynamic_cast<const T*>(d.payload.get());
-    }
+    static_assert(std::is_base_of_v<TypedPayload<T>, T>,
+                  "payload types derive hw::TypedPayload<T>");
+    if (d.payload != nullptr && d.payload->fastnet_type_tag == TypedPayload<T>::tag())
+        return static_cast<const T*>(d.payload.get());
+    return nullptr;
 }
 
 }  // namespace fastnet::hw

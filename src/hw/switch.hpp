@@ -26,8 +26,6 @@ public:
     /// `link_ports` — number of incident links; ports are 1..link_ports.
     explicit SwitchingSubsystem(PortId link_ports) : link_ports_(link_ports) {}
 
-    PortId link_port_count() const { return link_ports_; }
-
     bool valid_link_port(PortId p) const { return p >= 1 && p <= link_ports_; }
 
     /// Matches the label against every port's id set.

@@ -16,10 +16,7 @@ namespace {
 
 using graph::Graph;
 
-// Deliberately NOT a TypedPayload: exercises the RTTI fallback of
-// payload_as<T> behind its static_assert-checked opt-in.
-struct TextPayload : Payload {
-    static constexpr bool kRttiPayload = true;
+struct TextPayload final : TypedPayload<TextPayload> {
     explicit TextPayload(std::string s) : text(std::move(s)) {}
     std::string text;
 };
