@@ -6,7 +6,9 @@
 #      merged exports (the binary asserts this in-process per cell), and
 #   2. every grid cell's exports to be byte-identical to the
 #      single-shard single-thread run (spill must not leak partition
-#      artifacts into what the run looks like), and
+#      artifacts into what the run looks like), the FIFO run's export
+#      and violations JSON included (monitor verdicts must not depend on
+#      the partition either), and
 #   3. fastnet_trace to answer --check/--summary/--calls/--violations/
 #      --chain directly over the spill directory, plus recover a
 #      crash-truncated spill file, and
@@ -52,7 +54,7 @@ for shards in 1 2 4 7; do
 done
 
 # Exports must not depend on the partition or the worker count.
-for suffix in canonical.json chrome.json metrics.json; do
+for suffix in canonical.json chrome.json metrics.json fifo.json fifo_violations.json; do
     for shards in 1 2 4 7; do
         for threads in 1 2 0; do
             diff -u "$tmp/s1_t1/$suffix" "$tmp/s${shards}_t${threads}/$suffix"
@@ -113,11 +115,15 @@ done
 "$trace_bin" "$spill" --summary | tail -n +2 > "$tmp/summary_spill.txt"
 diff -u "$tmp/summary_export.txt" "$tmp/summary_spill.txt"
 
-# The SLO run breaches its latency ceiling: --violations prints each
+# The FIFO run breaches its link spacing: --violations prints each
 # flagged lineage's history and exits 1, the same from either input.
-same_answer "$cell/slo.json" "$cell/slo_spill" --violations
+same_answer "$cell/fifo.json" "$cell/fifo_spill" --violations
 grep -q "violation record(s):" "$tmp/from_spill.txt" \
-    || { echo "trace_spill_smoke: the SLO run recorded no violations" >&2; exit 1; }
+    || { echo "trace_spill_smoke: the FIFO run recorded no violations" >&2; exit 1; }
+status=0
+"$trace_bin" "$cell/fifo.json" --violations > /dev/null || status=$?
+[[ $status -eq 1 ]] \
+    || { echo "trace_spill_smoke: --violations exits $status on the FIFO run, not 1" >&2; exit 1; }
 
 # A lineage.fnlidx file in the spill directory changes no answer, whether
 # it maps the lineage to a parent it does not have or claims 2^60

@@ -144,16 +144,6 @@ void Network::note_drop(NodeId node, EdgeId e, const Packet& pkt, sim::DropReaso
                        {.lineage = pkt.lineage, .a = e, .b = 0,
                         .flag = static_cast<std::uint8_t>(reason)});
     if (cost::Sampling* s = metrics_.sampling()) s->drops().add(sim_.now(), 1);
-    if (watched()) {
-        obs::MonitorEvent ev;
-        ev.kind = obs::MonitorEvent::Kind::kDrop;
-        ev.at = sim_.now();
-        ev.node = node;
-        ev.lineage = pkt.lineage;
-        ev.a = e;
-        ev.b = static_cast<std::uint64_t>(reason);
-        monitors_->dispatch(ev);
-    }
 }
 
 void Network::admit(NodeId from, std::size_t len) {
@@ -213,7 +203,6 @@ std::uint64_t Network::inject(NodeId from, Packet* pkt, std::shared_ptr<const Pa
         ev.node = from;
         ev.lineage = lineage;
         ev.a = len;
-        ev.b = parent_lineage;
         monitors_->dispatch(ev);
     }
     // The injecting node's own switch consumes the first label immediately
@@ -376,16 +365,6 @@ void Network::deliver_to_ncu(NodeId node, const Packet& pkt) {
     FASTNET_EXPECTS_MSG(ncu_dispatch_ != nullptr, "no NCU dispatch registered");
     if (cost::Sampling* s = metrics_.sampling())
         s->delivery_latency().add(static_cast<std::uint64_t>(sim_.now() - pkt.sent_at));
-    if (watched()) {
-        obs::MonitorEvent ev;
-        ev.kind = obs::MonitorEvent::Kind::kDeliver;
-        ev.at = sim_.now();
-        ev.node = node;
-        ev.lineage = pkt.lineage;
-        ev.a = pkt.hops;
-        ev.b = static_cast<std::uint64_t>(pkt.sent_at);
-        monitors_->dispatch(ev);
-    }
     ncu_dispatch_(node, Delivery(node, pkt));
 }
 

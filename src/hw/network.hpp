@@ -51,7 +51,7 @@ struct NetworkConfig {
     std::shared_ptr<sim::Trace> trace;
     /// Optional live invariant monitors (obs::MonitorHub). Like the
     /// trace, purely observational: the fabric feeds it typed events
-    /// (send/hop/deliver/drop/dup/retire) and an empty hub costs one
+    /// (send/hop/dup/retire/handoff) and an empty hub costs one
     /// branch per hook (bench_obs_overhead guards this).
     std::shared_ptr<obs::MonitorHub> monitors;
     /// Fault injection: per-transmission loss probability in parts per

@@ -248,14 +248,6 @@ void ParallelCluster::apply_action(const ScenarioAction& a) {
             sim::Trace* trace = shards_[0]->trace.get();
             if (trace != nullptr && trace->enabled(sim::TraceKind::kPhase))
                 trace->record(a.at, kNoNode, sim::TraceKind::kPhase, {.a = phase});
-            for (auto& sh : shards_) {
-                if (sh->monitors == nullptr || !sh->monitors->active()) continue;
-                obs::MonitorEvent ev;
-                ev.kind = obs::MonitorEvent::Kind::kPhase;
-                ev.at = a.at;
-                ev.a = phase;
-                sh->monitors->dispatch(ev);
-            }
             break;
         }
     }
@@ -497,18 +489,10 @@ std::vector<std::string> ParallelCluster::spill_paths() const {
 }
 
 std::vector<obs::Violation> ParallelCluster::merged_violations() const {
-    std::vector<obs::Violation> all;
-    for (const auto& sh : shards_) {
-        if (sh->monitors == nullptr) continue;
-        const auto& v = sh->monitors->violations();
-        all.insert(all.end(), v.begin(), v.end());
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const obs::Violation& a, const obs::Violation& b) {
-                         if (a.at != b.at) return a.at < b.at;
-                         return trace_node_sort_key(a.node) < trace_node_sort_key(b.node);
-                     });
-    return all;
+    std::vector<const obs::MonitorHub*> hubs;
+    for (const auto& sh : shards_)
+        if (sh->monitors != nullptr) hubs.push_back(sh->monitors.get());
+    return obs::MonitorHub::fold(hubs);
 }
 
 std::uint64_t ParallelCluster::violation_count() const {

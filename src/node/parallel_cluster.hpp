@@ -110,9 +110,9 @@ struct ParallelClusterConfig {
     Tick sample_window = 0;
     /// Monitor installer, invoked once per shard hub; null = no
     /// monitors. Each shard audits its own slice of the run (plus
-    /// kHandoff credits for packets entering across a boundary); a hub's
-    /// first violations become kViolation trace records, and run()
-    /// closes the books with MonitorHub::finish.
+    /// kHandoff credits for packets entering across a boundary); every
+    /// violation becomes a kViolation record in its shard's trace, and
+    /// run() closes the books with MonitorHub::finish.
     std::function<void(obs::MonitorHub&)> monitor_setup;
 };
 
@@ -204,7 +204,8 @@ public:
     /// shard order. Finalized (trailer written) once run() returns.
     std::vector<std::string> spill_paths() const;
 
-    /// All shards' violations, sorted by (at, node, shard).
+    /// Each monitor's first MonitorHub::kMaxStoredPerMonitor violations
+    /// across all shards, in merge order (MonitorHub::fold).
     std::vector<obs::Violation> merged_violations() const;
     std::uint64_t violation_count() const;
     /// Monitors per hub (what a single-hub run would report); 0 without

@@ -1,11 +1,28 @@
 #include "obs/monitor.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
+#include "common/expect.hpp"
 #include "obs/json.hpp"
+#include "sim/trace_spill.hpp"
 
 namespace fastnet::obs {
+
+namespace {
+
+/// Merge order: (at, node with kNoNode last, lineage). Stable sorts and
+/// upper_bound inserts keep equal keys in the order they were reported.
+bool merge_order(const Violation& a, const Violation& b) {
+    if (a.at != b.at) return a.at < b.at;
+    const std::uint64_t ka = sim::trace_node_sort_key(a.node);
+    const std::uint64_t kb = sim::trace_node_sort_key(b.node);
+    if (ka != kb) return ka < kb;
+    return a.lineage < b.lineage;
+}
+
+}  // namespace
 
 void Monitor::on_finish(MonitorHub&, Tick) {}
 
@@ -25,20 +42,11 @@ void MonitorHub::finish(Tick now) {
 
 void MonitorHub::report(const Monitor& monitor, Tick at, NodeId node, std::uint64_t lineage,
                         std::string message) {
+    std::size_t index = 0;
+    while (index < monitors_.size() && monitors_[index].monitor.get() != &monitor) ++index;
+    FASTNET_EXPECTS_MSG(index < monitors_.size(), "report from an unregistered monitor");
     ++violation_count_;
-    std::size_t index = monitors_.size();
-    Entry* entry = nullptr;
-    for (std::size_t i = 0; i < monitors_.size(); ++i) {
-        if (monitors_[i].monitor.get() == &monitor) {
-            index = i;
-            entry = &monitors_[i];
-            break;
-        }
-    }
-    const std::uint64_t prior = entry ? entry->reported : 0;
-    if (entry) ++entry->reported;
-    if (prior >= kMaxStoredPerMonitor) return;
-    if (prior == 0 && trace_ && trace_->enabled(sim::TraceKind::kViolation)) {
+    if (trace_ && trace_->enabled(sim::TraceKind::kViolation)) {
         std::string detail = monitor.name();
         detail += ": ";
         detail += message;
@@ -53,7 +61,45 @@ void MonitorHub::report(const Monitor& monitor, Tick at, NodeId node, std::uint6
     v.at = at;
     v.node = node;
     v.lineage = lineage;
-    violations_.push_back(std::move(v));
+    // A full list takes the new violation only if it comes before the
+    // last one kept, which it then displaces.
+    std::vector<Violation>& kept = monitors_[index].kept;
+    const auto pos = std::upper_bound(kept.begin(), kept.end(), v, merge_order) - kept.begin();
+    if (kept.size() == kMaxStoredPerMonitor) {
+        if (pos == static_cast<std::ptrdiff_t>(kept.size())) return;
+        kept.pop_back();
+    }
+    kept.insert(kept.begin() + pos, std::move(v));
+}
+
+std::vector<Violation> MonitorHub::violations() const {
+    const MonitorHub* self = this;
+    return fold({&self, 1});
+}
+
+std::vector<Violation> MonitorHub::fold(std::span<const MonitorHub* const> hubs) {
+    std::vector<Violation> out;
+    if (hubs.empty()) return out;
+    const std::size_t monitors = hubs[0]->monitors_.size();
+    for (std::size_t m = 0; m < monitors; ++m) {
+        // Each hub kept its first kMaxStoredPerMonitor of monitor m, so the
+        // first kMaxStoredPerMonitor across hubs are among them. A node's
+        // violations all come from one hub, so the stable sort keeps its
+        // own order on ties.
+        std::vector<Violation> first;
+        for (const MonitorHub* hub : hubs) {
+            FASTNET_EXPECTS_MSG(hub->monitors_.size() == monitors,
+                                "folded hubs registered different monitors");
+            const std::vector<Violation>& kept = hub->monitors_[m].kept;
+            first.insert(first.end(), kept.begin(), kept.end());
+        }
+        std::stable_sort(first.begin(), first.end(), merge_order);
+        if (first.size() > kMaxStoredPerMonitor) first.resize(kMaxStoredPerMonitor);
+        out.insert(out.end(), std::make_move_iterator(first.begin()),
+                   std::make_move_iterator(first.end()));
+    }
+    std::stable_sort(out.begin(), out.end(), merge_order);
+    return out;
 }
 
 // ---- LineageConservationMonitor ------------------------------------------
@@ -131,25 +177,6 @@ void BusyWindowMonitor::on_event(MonitorHub& hub, const MonitorEvent& ev) {
     last_end_[ev.node] = ev.at;
 }
 
-// ---- PhaseBudgetMonitor --------------------------------------------------
-
-void PhaseBudgetMonitor::on_event(MonitorHub& hub, const MonitorEvent& ev) {
-    if (ev.kind == MonitorEvent::Kind::kPhase) {
-        current_phase_ = ev.a;
-        return;
-    }
-    if (ev.kind != MonitorEvent::Kind::kInvoke) return;
-    if (static_cast<MonitorEvent::InvokeKind>(ev.a) != MonitorEvent::InvokeKind::kDelivery)
-        return;
-    if (current_phase_ != phase_) return;
-    ++calls_;
-    if (calls_ == max_calls_ + 1) {
-        hub.report(*this, ev.at, ev.node, ev.lineage,
-                   "phase " + std::to_string(phase_) + " exceeded its system-call budget of " +
-                       std::to_string(max_calls_));
-    }
-}
-
 // ---- LinkFifoMonitor -----------------------------------------------------
 
 void LinkFifoMonitor::on_event(MonitorHub& hub, const MonitorEvent& ev) {
@@ -225,26 +252,6 @@ void TraceOverflowMonitor::on_event(MonitorHub& hub, const MonitorEvent& ev) {
                    "trace detail arena overflowed: " + std::to_string(ev.b) +
                        " detail string(s) dropped");
     }
-}
-
-void LatencySloMonitor::on_event(MonitorHub& hub, const MonitorEvent& ev) {
-    if (ev.kind == MonitorEvent::Kind::kSend) {
-        if (ev.lineage == 0) return;
-        Tick root_start = ev.at;
-        if (ev.b != 0)
-            if (const Tick* parent = start_.find(ev.b)) root_start = *parent;
-        start_[ev.lineage] = root_start;
-        return;
-    }
-    if (ev.kind != MonitorEvent::Kind::kDeliver) return;
-    Tick root_start = static_cast<Tick>(ev.b);  // fallback: own injection
-    if (const Tick* s = start_.find(ev.lineage)) root_start = *s;
-    const Tick latency = ev.at - root_start;
-    if (latency <= ceiling_) return;
-    hub.report(*this, ev.at, ev.node, ev.lineage,
-               "path latency " + std::to_string(latency) + " exceeds ceiling " +
-                   std::to_string(ceiling_) + " (root injection at t=" +
-                   std::to_string(root_start) + ")");
 }
 
 void add_standard_monitors(MonitorHub& hub, std::uint64_t queue_ceiling) {

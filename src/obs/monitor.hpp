@@ -4,8 +4,8 @@
 // runtimes (node::NodeRuntime) and the cluster feed with typed events as
 // the simulation executes. Registered monitors check invariants *at the
 // violating event* — lineage conservation, queue-depth ceilings,
-// busy-window monotonicity, per-phase system-call budgets — so a broken
-// run points at a packet and a tick instead of a diff at the end.
+// busy-window monotonicity, link FIFO order, serialized sends — so a
+// broken run points at a packet and a tick instead of a diff at the end.
 //
 // Cost contract (guarded by bench/bench_obs_overhead.cpp alongside the
 // disabled trace): an attached hub with no monitors costs one pointer
@@ -14,15 +14,16 @@
 // never against individual monitors, so the fabric stays ignorant of
 // what is being checked.
 //
-// Violations are collected on the hub (bounded per monitor) and the
-// *first* violation of each monitor is recorded into the attached
-// sim::Trace as a TraceKind::kViolation record carrying the offending
-// event's time, node and lineage plus a human-readable detail — chaos
-// exports then carry the verdict (see docs/OBSERVABILITY.md).
+// Every violation is recorded into the attached sim::Trace as a
+// TraceKind::kViolation record carrying the offending event's time, node
+// and lineage plus a human-readable detail — chaos exports then carry
+// the verdict (see docs/OBSERVABILITY.md). The hub keeps each monitor's
+// first violations in merge order, bounded.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,23 +39,19 @@ namespace fastnet::obs {
 ///
 /// | kind      | node       | lineage | a                  | b              |
 /// |-----------|------------|---------|--------------------|----------------|
-/// | kSend     | sender     | yes     | header length      | parent lineage |
+/// | kSend     | sender     | yes     | header length      | —              |
 /// | kHop      | arrival    | yes     | edge               | hops so far    |
-/// | kDeliver  | receiver   | yes     | hops travelled     | injection tick |
-/// | kDrop     | where      | yes     | edge (kNoEdge off) | DropReason     |
 /// | kDup      | sender side| yes     | edge               | new packet id  |
 /// | kRetire   | —          | yes     | —                  | —              |
 /// | kHandoff  | target     | yes     | edge               | —              |
 /// | kEnqueue  | NCU        | —       | queue depth        | —              |
 /// | kInvoke   | NCU        | maybe   | InvokeKind         | busy ticks     |
-/// | kPhase    | kNoNode    | —       | phase id           | —              |
 /// | kMemory   | node       | —       | bytes at this node | —              |
+/// | kTraceDrop| kNoNode    | —       | records dropped    | details dropped|
 struct MonitorEvent {
     enum class Kind : std::uint8_t {
         kSend,     ///< Packet injected into the fabric.
         kHop,      ///< Packet traversed a link.
-        kDeliver,  ///< Hardware copy handed to an NCU.
-        kDrop,     ///< Packet died (any DropReason).
         kDup,      ///< Link-layer duplicate minted (a new live copy).
         kRetire,   ///< Packet cursor released (delivered, dropped or done).
         kHandoff,  ///< Parallel kernel: packet entered this shard from
@@ -62,13 +59,11 @@ struct MonitorEvent {
                    ///< sender's shard retired its cursor at the boundary).
         kEnqueue,  ///< Work item queued at an NCU.
         kInvoke,   ///< NCU handler completed.
-        kPhase,    ///< Experiment phase marker.
         kMemory,   ///< Per-node footprint sample
                    ///< (ParallelCluster::sample_memory).
-        kTraceDrop,  ///< Trace ring overflowed: a = records dropped,
-                     ///< b = detail strings dropped (node = kNoNode).
-                     ///< Dispatched by the cluster before the end-of-run
-                     ///< sweep so truncation is loud, never silent.
+        kTraceDrop,  ///< Trace ring overflowed. Dispatched by the cluster
+                     ///< before the end-of-run sweep so truncation is
+                     ///< loud, never silent.
     };
     /// Work-item discriminator of a kInvoke event (`a`).
     enum class InvokeKind : std::uint8_t {
@@ -94,9 +89,9 @@ struct Violation {
 
 class MonitorHub;
 
-/// Base class of one live invariant check. Monitors keep whatever state
-/// they need across events and call MonitorHub::report when an event
-/// (or the end-of-run sweep) breaks the invariant.
+/// Base class of one live invariant check. Monitors keep per-node state
+/// across events (see MonitorHub) and call MonitorHub::report when an
+/// event (or the end-of-run sweep) breaks the invariant.
 class Monitor {
 public:
     virtual ~Monitor() = default;
@@ -110,11 +105,19 @@ public:
 /// The registry. One per shard of a simulation, shared by that shard's
 /// network and runtimes and filled by
 /// node::ParallelClusterConfig::monitor_setup; never shared across
-/// concurrently running shards or clusters — like sim::Trace it is
-/// single-run state, which is what keeps parallel runs deterministic.
+/// concurrently running shards or clusters. A monitor's state is per
+/// node, or per shard by nature (a shard's clock, its trace ring, the
+/// packets that enter and leave it). A node's events all reach its
+/// shard's hub, so a per-node check reaches the same verdict at any
+/// partition, and so do the trace records and the kept violations.
+///
+/// Violations are kept in merge order: (at, node — kNoNode last —,
+/// lineage), and on ties the order in which they were reported, which
+/// for one node is that node's own order.
 class MonitorHub {
 public:
-    /// Caps stored violations per monitor; further ones only count.
+    /// Caps the violations kept per monitor: the first ones in merge
+    /// order. Later ones only count.
     static constexpr std::size_t kMaxStoredPerMonitor = 16;
 
     void add(std::unique_ptr<Monitor> m);
@@ -124,8 +127,8 @@ public:
     bool active() const { return !monitors_.empty(); }
     std::size_t monitor_count() const { return monitors_.size(); }
 
-    /// Violations (first kMaxStoredPerMonitor per monitor) land in the
-    /// attached trace too; see class comment. May be null.
+    /// Every violation lands in the attached trace too; see report. May
+    /// be null.
     void attach_trace(sim::Trace* trace) { trace_ = trace; }
 
     /// Fans one event out to every registered monitor.
@@ -134,25 +137,31 @@ public:
     /// Runs every monitor's end-of-run check.
     void finish(Tick now);
 
-    /// Called by monitors: files a violation of `monitor` anchored at
-    /// (at, node, lineage). The first violation of each monitor is also
-    /// recorded into the attached trace (kind kViolation, a = the
-    /// monitor's registration index, detail = "name: message").
+    /// Called by a registered monitor: files a violation of `monitor`
+    /// anchored at (at, node, lineage) and records it into the attached
+    /// trace (kind kViolation, a = the monitor's registration index,
+    /// detail = "name: message").
     void report(const Monitor& monitor, Tick at, NodeId node, std::uint64_t lineage,
                 std::string message);
 
-    const std::vector<Violation>& violations() const { return violations_; }
+    /// The kept violations of every monitor, in merge order.
+    std::vector<Violation> violations() const;
     /// Total breaches including those beyond the storage cap.
     std::uint64_t violation_count() const { return violation_count_; }
     bool ok() const { return violation_count_ == 0; }
 
+    /// One verdict from per-shard hubs that registered the same monitors
+    /// in the same order: each monitor's first kMaxStoredPerMonitor
+    /// violations across all of them, in merge order. Pass the hubs in
+    /// shard order.
+    static std::vector<Violation> fold(std::span<const MonitorHub* const> hubs);
+
 private:
     struct Entry {
         std::unique_ptr<Monitor> monitor;
-        std::uint64_t reported = 0;
+        std::vector<Violation> kept;  ///< Sorted in merge order.
     };
     std::vector<Entry> monitors_;
-    std::vector<Violation> violations_;
     std::uint64_t violation_count_ = 0;
     sim::Trace* trace_ = nullptr;
 };
@@ -204,24 +213,6 @@ private:
     Tick last_global_ = 0;
 };
 
-/// Per-phase system-call budget: message deliveries completing while
-/// experiment phase `phase` is current (ParallelCluster::mark_phase) must
-/// not exceed `max_calls` — the paper's per-phase call bounds as a live
-/// check rather than a post-hoc audit.
-class PhaseBudgetMonitor final : public Monitor {
-public:
-    PhaseBudgetMonitor(std::uint64_t phase, std::uint64_t max_calls)
-        : phase_(phase), max_calls_(max_calls) {}
-    const char* name() const override { return "phase_budget"; }
-    void on_event(MonitorHub& hub, const MonitorEvent& ev) override;
-
-private:
-    std::uint64_t phase_;
-    std::uint64_t max_calls_;
-    std::uint64_t current_phase_ = 0;
-    std::uint64_t calls_ = 0;
-};
-
 /// Per-direction link FIFO: packet arrivals on one link direction (the
 /// pair (edge, arriving node) identifies a direction) must come in
 /// non-decreasing time order — the fabric's FIFO promise, checked at the
@@ -242,12 +233,6 @@ private:
     util::FlatMap64<Tick> last_arrival_;
 };
 
-/// Per-node memory ceiling: fires when a node's sampled footprint
-/// (runtime + protocol bytes, the `a` of a kMemory event) first crosses
-/// `ceiling_bytes`, and re-arms once the node drops back under — so a
-/// leak that grows across crash/restart epochs reports each excursion,
-/// not every sample. Sees events only when the cluster samples memory
-/// (ParallelCluster::sample_memory).
 /// Shared memory-pressure signal. The MemoryBudgetMonitor raises a
 /// node's flag while its sampled footprint exceeds the budget and clears
 /// it once the node drops back under; consumers (the call agents'
@@ -268,6 +253,12 @@ private:
     std::vector<std::uint8_t> over_;
 };
 
+/// Per-node memory ceiling: fires when a node's sampled footprint
+/// (runtime + protocol bytes, the `a` of a kMemory event) first crosses
+/// `ceiling_bytes`, and re-arms once the node drops back under — so a
+/// leak that grows across crash/restart epochs reports each excursion,
+/// not every sample. Sees events only when the cluster samples memory
+/// (ParallelCluster::sample_memory).
 class MemoryBudgetMonitor final : public Monitor {
 public:
     explicit MemoryBudgetMonitor(std::uint64_t ceiling_bytes) : ceiling_(ceiling_bytes) {}
@@ -316,26 +307,6 @@ private:
     bool reported_details_ = false;
 };
 
-/// Live path-latency ceiling: fires when a delivery completes more than
-/// `ceiling` ticks after its chain's *root* injection — the causal
-/// path-latency SLO checked at event time instead of post-hoc by the
-/// critical-path pass (obs/critical_path.hpp prices the same chains
-/// exactly; this monitor is the cheap online tripwire). Root starts
-/// propagate through kSend events (b = parent lineage); a delivery whose
-/// chain was never seen falls back to its own injection tick (kDeliver
-/// b), i.e. one-leg latency. Opt-in — not part of the standard set:
-/// the per-lineage start ledger grows with live chains.
-class LatencySloMonitor final : public Monitor {
-public:
-    explicit LatencySloMonitor(Tick ceiling) : ceiling_(ceiling) {}
-    const char* name() const override { return "latency_slo"; }
-    void on_event(MonitorHub& hub, const MonitorEvent& ev) override;
-
-private:
-    Tick ceiling_;
-    util::FlatMap64<Tick> start_;  ///< lineage -> root injection tick.
-};
-
 /// Registers the always-applicable invariants: lineage conservation,
 /// busy-window monotonicity and a queue-depth ceiling (default generous
 /// enough for every workload in this repo; pass a tighter one to probe).
@@ -359,9 +330,9 @@ void add_standard_monitors(MonitorHub& hub, const StandardMonitorOptions& option
 std::string violations_json(const MonitorHub& hub, const std::string& name);
 
 /// Same serialization over already-merged pieces — the parallel kernel
-/// concatenates its per-shard hubs' violations (sorted by (at, node))
-/// and serializes them with this overload. `monitor_count` is the count
-/// per hub, matching what a single-shard run would report.
+/// folds its per-shard hubs (MonitorHub::fold) and serializes them with
+/// this overload. `monitor_count` is the count per hub, matching what a
+/// single-shard run would report.
 std::string violations_json(std::size_t monitor_count, std::uint64_t violation_count,
                             const std::vector<Violation>& violations,
                             const std::string& name);

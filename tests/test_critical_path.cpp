@@ -3,9 +3,9 @@
 // segment classification (hop splits, timer wait vs retry backoff),
 // witness and top-N selection, the bounded-memory controls (horizon
 // pruning, live/blame caps) and their confidence counters — plus the
-// BoundAudit bridge, the latency SLO monitor, and the PR's spill-side
-// satellites: LineageIndex ancestry under link-layer duplication
-// (dup_ppm) and spill inputs split across multiple directories.
+// BoundAudit bridge and the spill-side checks: LineageIndex ancestry
+// under link-layer duplication (dup_ppm) and spill inputs split across
+// multiple directories.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "node/parallel_cluster.hpp"
 #include "obs/audit.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/monitor.hpp"
 #include "obs/trace_query.hpp"
 #include "paris/call_setup.hpp"
 #include "paris/workload.hpp"
@@ -311,49 +310,6 @@ TEST(CriticalPath, BoundAuditPassesWithinBoundAndTripsBeyond) {
     trip.critical_path(stats, 24.0);
     EXPECT_FALSE(trip.pass());
     EXPECT_EQ(trip.violation_count(), 1u);
-}
-
-// ---- latency SLO monitor ------------------------------------------------
-
-MonitorEvent mev(MonitorEvent::Kind kind, Tick at, NodeId node, std::uint64_t lineage,
-                 std::uint64_t b) {
-    MonitorEvent e;
-    e.kind = kind;
-    e.at = at;
-    e.node = node;
-    e.lineage = lineage;
-    e.b = b;
-    return e;
-}
-
-TEST(CriticalPath, LatencySloMonitorFiresOnCeilingBreach) {
-    MonitorHub hub;
-    hub.add(std::make_unique<LatencySloMonitor>(50));
-    sim::Trace trace(16);
-    hub.attach_trace(&trace);
-
-    // Root chain 10 -> 11: the root start (t=0) propagates through the
-    // child send, so the t=100 delivery is a 100-tick path.
-    hub.dispatch(mev(MonitorEvent::Kind::kSend, 0, 0, 10, /*parent=*/0));
-    hub.dispatch(mev(MonitorEvent::Kind::kSend, 5, 1, 11, /*parent=*/10));
-    hub.dispatch(mev(MonitorEvent::Kind::kDeliver, 100, 2, 11, /*injected=*/5));
-    EXPECT_EQ(hub.violation_count(), 1u);
-    EXPECT_FALSE(hub.ok());
-    const auto records = trace.snapshot();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].kind, sim::TraceKind::kViolation);
-    EXPECT_EQ(records[0].detail.rfind("latency_slo: ", 0), 0u) << records[0].detail;
-}
-
-TEST(CriticalPath, LatencySloMonitorStaysCleanUnderCeilingAndFallsBack) {
-    MonitorHub hub;
-    hub.add(std::make_unique<LatencySloMonitor>(50));
-    hub.dispatch(mev(MonitorEvent::Kind::kSend, 0, 0, 10, 0));
-    hub.dispatch(mev(MonitorEvent::Kind::kDeliver, 40, 1, 10, 0));
-    // Unseen chain: falls back to the delivery's own injection tick
-    // (one-leg latency 10), not a spurious whole-run latency.
-    hub.dispatch(mev(MonitorEvent::Kind::kDeliver, 100, 1, 99, /*injected=*/90));
-    EXPECT_TRUE(hub.ok());
 }
 
 // ---- spill satellites: duplication and multi-directory inputs -----------

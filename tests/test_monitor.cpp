@@ -1,12 +1,14 @@
 // Live invariant monitors (src/obs/monitor.hpp): unit-level checks of
 // each built-in monitor via manual event dispatch, the violation
-// bookkeeping (storage cap, first-violation trace record), and the
-// integration path — a hub attached to a real ParallelCluster run stays clean on
+// bookkeeping (one trace record per violation, the first ones kept in
+// merge order, the fold across per-shard hubs), and the integration
+// path — a hub attached to a real ParallelCluster run stays clean on
 // healthy workloads and trips deterministically on a rigged one.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -51,24 +53,91 @@ TEST(Monitor, StorageCapCountsBeyondStoredViolations) {
     EXPECT_FALSE(hub.ok());
 }
 
-TEST(Monitor, FirstViolationLandsInTheAttachedTrace) {
+TEST(Monitor, EveryViolationLandsInTheAttachedTrace) {
     MonitorHub hub;
     hub.add(std::make_unique<LineageConservationMonitor>());
     hub.add(std::make_unique<QueueDepthMonitor>(2));
     sim::Trace trace(128);
     hub.attach_trace(&trace);
 
-    hub.dispatch(ev(MonitorEvent::Kind::kEnqueue, 7, 3, 0, /*depth=*/9));
-    hub.dispatch(ev(MonitorEvent::Kind::kEnqueue, 8, 3, 0, /*depth=*/9));
+    // More than the storage cap: the trace still gets every one.
+    constexpr Tick kCount = MonitorHub::kMaxStoredPerMonitor + 4;
+    for (Tick t = 0; t < kCount; ++t)
+        hub.dispatch(ev(MonitorEvent::Kind::kEnqueue, 7 + t, 3, 0, /*depth=*/9));
 
     const auto records = trace.snapshot();
-    ASSERT_EQ(records.size(), 1u);  // only the monitor's first violation
-    EXPECT_EQ(records[0].kind, sim::TraceKind::kViolation);
-    EXPECT_EQ(records[0].at, 7);
-    EXPECT_EQ(records[0].node, 3u);
-    EXPECT_EQ(records[0].a, 1u);  // registration index of the queue monitor
-    EXPECT_EQ(records[0].detail.rfind("queue_depth: ", 0), 0u) << records[0].detail;
-    EXPECT_EQ(hub.violation_count(), 2u);
+    ASSERT_EQ(records.size(), static_cast<std::size_t>(kCount));
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i].kind, sim::TraceKind::kViolation);
+        EXPECT_EQ(records[i].at, 7 + static_cast<Tick>(i));
+        EXPECT_EQ(records[i].node, 3u);
+        EXPECT_EQ(records[i].a, 1u);  // registration index of the queue monitor
+        EXPECT_EQ(records[i].detail.rfind("queue_depth: ", 0), 0u) << records[i].detail;
+    }
+    EXPECT_EQ(hub.violation_count(), static_cast<std::uint64_t>(kCount));
+    EXPECT_EQ(hub.violations().size(), MonitorHub::kMaxStoredPerMonitor);
+}
+
+TEST(Monitor, KeepsTheFirstViolationsInMergeOrder) {
+    // 31 violations at one tick, at five nodes reported out of node order
+    // and with falling lineages. The hub keeps the first 16 by (at, node,
+    // lineage), and two at the same (at, node, lineage) in the order they
+    // were reported.
+    MonitorHub hub;
+    hub.add(std::make_unique<QueueDepthMonitor>(0));
+    const NodeId nodes[] = {9, 2, 7, 0, 5};
+    for (std::uint64_t lineage = 6; lineage-- > 0;)
+        for (NodeId u : nodes)
+            hub.dispatch(ev(MonitorEvent::Kind::kEnqueue, 4, u, lineage, /*depth=*/1));
+    hub.dispatch(ev(MonitorEvent::Kind::kEnqueue, 4, 0, 0, /*depth=*/2));
+    EXPECT_EQ(hub.violation_count(), 31u);
+
+    struct Key {
+        NodeId node;
+        std::uint64_t lineage;
+        std::uint64_t depth;
+    };
+    std::vector<Key> expected = {{0, 0, 1}, {0, 0, 2}};
+    for (std::uint64_t lineage = 1; lineage < 6; ++lineage) expected.push_back({0, lineage, 1});
+    for (std::uint64_t lineage = 0; lineage < 6; ++lineage) expected.push_back({2, lineage, 1});
+    for (std::uint64_t lineage = 0; lineage < 3; ++lineage) expected.push_back({5, lineage, 1});
+    ASSERT_EQ(expected.size(), MonitorHub::kMaxStoredPerMonitor);
+
+    const std::vector<Violation> kept = hub.violations();
+    ASSERT_EQ(kept.size(), expected.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(kept[i].at, 4);
+        EXPECT_EQ(kept[i].node, expected[i].node);
+        EXPECT_EQ(kept[i].lineage, expected[i].lineage);
+        EXPECT_EQ(kept[i].message.rfind("queue depth " + std::to_string(expected[i].depth), 0),
+                  0u)
+            << kept[i].message;
+    }
+}
+
+TEST(Monitor, FoldOverShardHubsKeepsWhatOneHubKeeps) {
+    // The same violations, split across two hubs by node, fold to what a
+    // single hub that saw them all keeps: the first 16 of each monitor.
+    MonitorHub whole, even, odd;
+    for (MonitorHub* hub : {&whole, &even, &odd}) {
+        hub->add(std::make_unique<QueueDepthMonitor>(0));
+        hub->add(std::make_unique<QueueDepthMonitor>(1));
+    }
+    for (Tick t = 0; t < 10; ++t) {
+        for (NodeId u : {3u, 1u, 2u, 0u}) {
+            const MonitorEvent e = ev(MonitorEvent::Kind::kEnqueue, t, u, 10 - t,
+                                      /*depth=*/1 + static_cast<std::uint64_t>(t + u) % 2);
+            whole.dispatch(e);
+            (u % 2 == 0 ? even : odd).dispatch(e);
+        }
+    }
+    ASSERT_EQ(whole.violation_count(), 60u);  // 40 past ceiling 0, 20 past 1
+    const MonitorHub* shards[] = {&even, &odd};
+    const std::vector<Violation> folded = MonitorHub::fold(shards);
+    EXPECT_EQ(folded.size(), 2 * MonitorHub::kMaxStoredPerMonitor);
+    EXPECT_EQ(violations_json(2, even.violation_count() + odd.violation_count(), folded, "f"),
+              violations_json(whole, "f"));
 }
 
 // ---- lineage conservation -----------------------------------------------
@@ -146,30 +215,6 @@ TEST(Monitor, CompletionTimeGoingBackwardsViolates) {
     using K = MonitorEvent::Kind;
     hub.dispatch(ev(K::kInvoke, 20, 0));
     hub.dispatch(ev(K::kInvoke, 15, 1));  // the simulator never runs backwards
-    EXPECT_EQ(hub.violation_count(), 1u);
-}
-
-// ---- phase budgets -------------------------------------------------------
-
-TEST(Monitor, PhaseBudgetCountsOnlyItsPhaseAndReportsOnce) {
-    MonitorHub hub;
-    hub.add(std::make_unique<PhaseBudgetMonitor>(/*phase=*/1, /*max_calls=*/2));
-    using K = MonitorEvent::Kind;
-    const auto delivery = static_cast<std::uint64_t>(MonitorEvent::InvokeKind::kDelivery);
-    const auto timer = static_cast<std::uint64_t>(MonitorEvent::InvokeKind::kTimer);
-    // Phase 0 deliveries do not count.
-    hub.dispatch(ev(K::kInvoke, 1, 0, 0, delivery));
-    hub.dispatch(ev(K::kPhase, 2, kNoNode, 0, /*phase=*/1));
-    hub.dispatch(ev(K::kInvoke, 3, 0, 0, delivery));
-    hub.dispatch(ev(K::kInvoke, 4, 0, 0, timer));  // not a delivery
-    hub.dispatch(ev(K::kInvoke, 5, 0, 0, delivery));
-    EXPECT_TRUE(hub.ok());
-    hub.dispatch(ev(K::kInvoke, 6, 0, 0, delivery));  // budget + 1 -> fires
-    hub.dispatch(ev(K::kInvoke, 7, 0, 0, delivery));  // beyond: counted, not re-filed
-    EXPECT_EQ(hub.violation_count(), 1u);
-    // Leaving the phase stops the counting.
-    hub.dispatch(ev(K::kPhase, 8, kNoNode, 0, 2));
-    hub.dispatch(ev(K::kInvoke, 9, 0, 0, delivery));
     EXPECT_EQ(hub.violation_count(), 1u);
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,64 @@ TEST(ParallelSim, ByteIdenticalAcrossShardAndThreadCounts) {
             EXPECT_EQ(r.metrics_json, baseline.metrics_json);
             EXPECT_EQ(r.violations_json, baseline.violations_json);
             EXPECT_TRUE(r.oracle.ok()) << r.oracle.summary();
+        }
+    }
+}
+
+/// The churn run with the per-node monitors set to fire: a queue ceiling,
+/// a link spacing and a send gap the run does not keep, and a memory
+/// budget below a node's footprint, checked by samples between run_until
+/// steps. Each fires more often than MonitorHub keeps.
+RunResult run_firing_monitors(unsigned shards, unsigned threads) {
+    ParallelClusterConfig cfg = base_config(shards, threads);
+    cfg.trace_capacity = std::size_t{1} << 18;
+    cfg.trace_detail_capacity = std::size_t{1} << 22;
+    cfg.monitor_setup = [](obs::MonitorHub& hub) {
+        obs::StandardMonitorOptions opt;
+        opt.queue_ceiling = 12;
+        opt.link_spacing = 4;  // the network keeps none
+        opt.min_send_gap = 3;  // sends are free (free_multisend)
+        obs::add_standard_monitors(hub, opt);
+        hub.add(std::make_unique<obs::MemoryBudgetMonitor>(1000));
+    };
+    ParallelCluster c(irregular_graph(),
+                      topo::make_topology_maintenance(23, maintenance_options()), cfg);
+    script_churn(c);
+    for (Tick t = 25; t <= 300; t += 25) {
+        c.run_until(t);
+        c.sample_memory();
+    }
+
+    RunResult r;
+    r.completion = c.run();
+    EXPECT_EQ(c.trace_dropped(), 0u);
+    EXPECT_EQ(c.trace_detail_dropped(), 0u);
+    const obs::ExportMeta meta = obs::make_meta(c.graph(), "firing_monitors");
+    r.trace_json = obs::canonical_trace_json(c.merged_trace(), meta, c.trace_total_recorded(),
+                                             c.trace_dropped(), c.trace_detail_dropped());
+    r.violations_json = obs::violations_json(c.monitor_count(), c.violation_count(),
+                                             c.merged_violations(), "firing_monitors");
+    return r;
+}
+
+TEST(ParallelSim, FiringMonitorsByteIdenticalAcrossShardAndThreadCounts) {
+    const RunResult baseline = run_firing_monitors(1, 1);
+    for (const char* monitor : {"queue_depth", "link_fifo", "serialized_send", "memory_budget"})
+        EXPECT_NE(baseline.violations_json.find(std::string("\"monitor\": \"") + monitor + "\""),
+                  std::string::npos)
+            << monitor << " never fired:\n"
+            << baseline.violations_json;
+    EXPECT_NE(baseline.trace_json.find("\"kind\":\"violation\""), std::string::npos);
+
+    const unsigned shard_counts[] = {2, 7, 16};
+    const unsigned thread_counts[] = {1, 2, 0};
+    for (unsigned s : shard_counts) {
+        for (unsigned t : thread_counts) {
+            SCOPED_TRACE("shards=" + std::to_string(s) + " threads=" + std::to_string(t));
+            const RunResult r = run_firing_monitors(s, t);
+            EXPECT_EQ(r.completion, baseline.completion);
+            EXPECT_EQ(r.trace_json, baseline.trace_json);
+            EXPECT_EQ(r.violations_json, baseline.violations_json);
         }
     }
 }

@@ -364,7 +364,7 @@ TEST(SpillReader, QueryOverAFailedOpenFails) {
 
 TEST(SpillWriter, PinnedSegmentBytes) {
     // A small traced PARIS run at one shard: loss, one crash and restart,
-    // and a latency SLO the run breaches, so violation details spill too.
+    // and a link spacing the run breaches, so violation details spill too.
     // A 256-record ring drains it into many segments. The fingerprint
     // pins the whole file: header, segment order, record encoding and
     // the stats trailer.
@@ -396,7 +396,7 @@ TEST(SpillWriter, PinnedSegmentBytes) {
     cfg.trace_detail_capacity = 2048;
     cfg.trace_spill_dir = dir;
     cfg.monitor_setup = [](obs::MonitorHub& hub) {
-        hub.add(std::make_unique<obs::LatencySloMonitor>(30));
+        hub.add(std::make_unique<obs::LinkFifoMonitor>(/*link_spacing=*/3));
     };
     node::ParallelCluster cluster(*g, paris::make_call_workload(g, aopt), cfg);
     cluster.start_all(0);
@@ -413,16 +413,16 @@ TEST(SpillWriter, PinnedSegmentBytes) {
     std::string error;
     ASSERT_TRUE(file.open(path, &error)) << error;
     EXPECT_GE(file.segments().size(), 8u);
-    std::uint64_t crashes = 0, details = 0;
+    std::uint64_t crashes = 0, violations = 0;
     for (const TraceRecord& r : merge_all(path)) {
         crashes += r.kind == TraceKind::kCrash;
-        details += !r.detail.empty();
+        violations += r.kind == TraceKind::kViolation && !r.detail.empty();
     }
     EXPECT_EQ(crashes, 1u);
-    EXPECT_GT(details, 0u);
+    EXPECT_GT(violations, 0u);
 
     const std::string bytes = read_bytes(path);
-    EXPECT_EQ(test_util::fnv1a(bytes), 0x08c471b24791bd5bULL) << bytes.size() << " bytes";
+    EXPECT_EQ(test_util::fnv1a(bytes), 0xe035e9b8fefa3ec4ULL) << bytes.size() << " bytes";
     std::filesystem::remove_all(dir);
 }
 

@@ -9,9 +9,10 @@
 // lineage index built from the spill reproduces obs::lineage_ancestry
 // exactly, and that a crash-truncated spill file (a run killed
 // mid-segment) still opens, reports itself recovered, and merges every
-// complete segment. The scenario runs twice more with a latency SLO
-// monitor whose ceiling the run breaches, so the CLI's --violations has
-// flagged chains to reconstruct.
+// complete segment. The scenario runs twice more with a link FIFO
+// monitor whose spacing the run breaches, so the CLI's --violations has
+// flagged chains to reconstruct, and the violations JSON and the export
+// with its kViolation records are diffed across the grid.
 //
 // scripts/trace_spill_smoke.sh runs this binary across a
 // (shards x threads) grid, byte-diffs the written exports across the
@@ -47,9 +48,10 @@ using namespace fastnet;
 namespace {
 
 constexpr std::uint64_t kSeed = 2;
-/// Path-latency ceiling of the SLO run: low enough that a few of the
-/// scenario's causal chains breach it.
-constexpr Tick kSloCeiling = 40;
+/// Arrival spacing the FIFO run checks on every link direction. The
+/// network keeps none (link_spacing 0), so closely spaced arrivals
+/// breach it.
+constexpr Tick kFifoSpacing = 3;
 
 graph::Graph make_shape() {
     Rng g(kSeed * 131 + 7);
@@ -62,6 +64,7 @@ struct RunOutput {
     std::string chrome;
     std::string metrics;
     std::string critical_path;  ///< format_critical_path of the run.
+    std::string violations;     ///< violations_json of the run.
     std::uint64_t total_recorded = 0;
     std::vector<sim::TraceRecord> records;  ///< In-memory run only.
 };
@@ -70,9 +73,9 @@ struct RunOutput {
 /// with retries and leases under crash/restart churn — every record
 /// kind the exporters know shows up, including kCallEvent for the CLI's
 /// --calls and kCrash/kRestart for --reconvergence. A nonzero
-/// `slo_ceiling` adds an obs::LatencySloMonitor at that ceiling.
+/// `fifo_spacing` adds an obs::LinkFifoMonitor with that spacing.
 RunOutput run_case(unsigned shards, unsigned threads, const std::string& spill_dir,
-                   std::size_t budget_bytes, Tick slo_ceiling = 0) {
+                   std::size_t budget_bytes, Tick fifo_spacing = 0) {
     auto g = std::make_shared<graph::Graph>(make_shape());
 
     fault::FaultModel model;
@@ -108,9 +111,9 @@ RunOutput run_case(unsigned shards, unsigned threads, const std::string& spill_d
     cfg.threads = threads;
     cfg.net.hop_delay_min = 1;
     cfg.net.loss_ppm = model.loss_ppm;
-    cfg.monitor_setup = [slo_ceiling](obs::MonitorHub& hub) {
+    cfg.monitor_setup = [fifo_spacing](obs::MonitorHub& hub) {
         obs::add_standard_monitors(hub);
-        if (slo_ceiling != 0) hub.add(std::make_unique<obs::LatencySloMonitor>(slo_ceiling));
+        if (fifo_spacing != 0) hub.add(std::make_unique<obs::LinkFifoMonitor>(fifo_spacing));
     };
     if (spill_dir.empty()) {
         // Resident reference: a ring that cannot wrap for this workload.
@@ -132,6 +135,8 @@ RunOutput run_case(unsigned shards, unsigned threads, const std::string& spill_d
     RunOutput out;
     out.completion = cluster.run();
     out.total_recorded = cluster.trace_total_recorded();
+    out.violations = obs::violations_json(cluster.monitor_count(), cluster.violation_count(),
+                                          cluster.merged_violations(), "spill_smoke");
 
     const obs::ExportMeta meta = obs::make_meta(*g, "spill_smoke");
     if (spill_dir.empty()) {
@@ -293,18 +298,21 @@ int main(int argc, char** argv) {
 
     check_crash_recovery(files.front(), dir + "/crash.fnspill");
 
-    // The SLO run: its export and its spill directory, for the CLI's
+    // The FIFO run: its export and its spill directory, for the CLI's
     // --violations to be diffed across the two.
-    const RunOutput slo = run_case(shards, threads, "", 0, kSloCeiling);
-    const RunOutput slo_spilled =
-        run_case(shards, threads, dir + "/slo_spill", 16 * 1024, kSloCeiling);
-    FASTNET_ENSURES_MSG(slo.canonical == slo_spilled.canonical,
-                        "canonical export differs between resident and spilled SLO runs");
+    const RunOutput fifo = run_case(shards, threads, "", 0, kFifoSpacing);
+    const RunOutput fifo_spilled =
+        run_case(shards, threads, dir + "/fifo_spill", 16 * 1024, kFifoSpacing);
+    FASTNET_ENSURES_MSG(fifo.canonical == fifo_spilled.canonical,
+                        "canonical export differs between resident and spilled FIFO runs");
+    FASTNET_ENSURES_MSG(fifo.violations == fifo_spilled.violations,
+                        "violations differ between resident and spilled FIFO runs");
 
     if (!write_file(dir + "/canonical.json", resident.canonical) ||
         !write_file(dir + "/chrome.json", resident.chrome) ||
         !write_file(dir + "/metrics.json", resident.metrics) ||
-        !write_file(dir + "/slo.json", slo.canonical)) {
+        !write_file(dir + "/fifo.json", fifo.canonical) ||
+        !write_file(dir + "/fifo_violations.json", fifo.violations)) {
         std::cerr << "cannot write exports into " << dir << "\n";
         return 1;
     }
