@@ -209,7 +209,8 @@ double measure_hop_ns(NodeId n) {
     const graph::Graph g = graph::make_path(n);
     sim::Simulator sim;
     cost::Metrics metrics(g.node_count());
-    hw::Network net(sim, g, ModelParams::traditional(), metrics);
+    hw::Fabric fabric(g, ModelParams::traditional(), {}, graph::partition_bfs(g, 1), 1);
+    hw::Network net(sim, fabric, 0, metrics, nullptr, nullptr);
     std::uint64_t delivered = 0;
     net.set_ncu_dispatch([&](NodeId, const hw::Delivery&) { ++delivered; });
 

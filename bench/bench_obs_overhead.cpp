@@ -78,17 +78,15 @@ struct HopMeasurement {
 
 /// Steady-state per-hop cost of a 4095-hop pure relay (identical to
 /// bench_sim_core's hop_ns rig) under the given observability config.
-HopMeasurement measure_hops(std::shared_ptr<sim::Trace> trace, Tick sample_window,
-                            std::shared_ptr<obs::MonitorHub> monitors = nullptr) {
+HopMeasurement measure_hops(sim::Trace* trace, Tick sample_window,
+                            obs::MonitorHub* monitors = nullptr) {
     constexpr NodeId kNodes = 4096;
     const graph::Graph g = graph::make_path(kNodes);
     sim::Simulator sim;
     cost::Metrics metrics(g.node_count());
     if (sample_window > 0) metrics.enable_sampling(sample_window);
-    hw::NetworkConfig cfg;
-    cfg.trace = std::move(trace);
-    cfg.monitors = std::move(monitors);
-    hw::Network net(sim, g, ModelParams::traditional(), metrics, cfg);
+    hw::Fabric fabric(g, ModelParams::traditional(), {}, graph::partition_bfs(g, 1), 1);
+    hw::Network net(sim, fabric, 0, metrics, trace, monitors);
     std::uint64_t delivered = 0;
     net.set_ncu_dispatch([&](NodeId, const hw::Delivery&) { ++delivered; });
 
@@ -193,24 +191,25 @@ int main() {
 
     const HopMeasurement none = measure_hops(nullptr, 0);
 
-    auto disabled_trace = std::make_shared<sim::Trace>(std::size_t{1} << 16);
-    disabled_trace->disable_all();
-    const HopMeasurement disabled = measure_hops(disabled_trace, 0);
+    sim::Trace disabled_trace(std::size_t{1} << 16);
+    disabled_trace.disable_all();
+    const HopMeasurement disabled = measure_hops(&disabled_trace, 0);
 
-    const HopMeasurement enabled =
-        measure_hops(std::make_shared<sim::Trace>(std::size_t{1} << 16), 0);
+    sim::Trace enabled_trace(std::size_t{1} << 16);
+    const HopMeasurement enabled = measure_hops(&enabled_trace, 0);
 
     const HopMeasurement sampled = measure_hops(nullptr, 64);
 
     // Attached-but-empty monitor hub: the gate configuration of this PR.
-    const HopMeasurement empty_hub = measure_hops(nullptr, 0, std::make_shared<obs::MonitorHub>());
+    obs::MonitorHub no_monitors;
+    const HopMeasurement empty_hub = measure_hops(nullptr, 0, &no_monitors);
 
     // Standard invariant monitors registered (the honest price of live
     // checking; informational, not gated).
-    auto std_hub = std::make_shared<obs::MonitorHub>();
-    obs::add_standard_monitors(*std_hub);
-    const HopMeasurement std_monitors = measure_hops(nullptr, 0, std_hub);
-    if (!std_hub->ok()) std::abort();  // the relay rig must not violate invariants
+    obs::MonitorHub std_hub;
+    obs::add_standard_monitors(std_hub);
+    const HopMeasurement std_monitors = measure_hops(nullptr, 0, &std_hub);
+    if (!std_hub.ok()) std::abort();  // the relay rig must not violate invariants
 
     out.add("hop_ns_no_trace", none.ns_per_hop, "ns");
     out.add("hop_ns_trace_disabled", disabled.ns_per_hop, "ns");

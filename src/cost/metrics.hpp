@@ -188,9 +188,8 @@ struct CallStats {
     void merge_from(const CallStats& o);
 };
 
-/// Which NCU handler a profiled invocation ran (mirrors
-/// obs::MonitorEvent::InvokeKind — cost:: stays below obs:: in the layer
-/// order, so the enum is duplicated here).
+/// Which NCU handler an invocation ran: the profiler's bucket and the
+/// `a` of an obs::MonitorEvent kInvoke.
 enum class HandlerKind : std::uint8_t { kStart = 0, kRestart, kDelivery, kLink, kTimer };
 
 inline constexpr unsigned kHandlerKindCount = 5;

@@ -71,12 +71,6 @@ public:
     const std::vector<Window>& windows() const { return windows_; }
     std::uint64_t overflow() const { return overflow_; }
 
-    std::uint64_t total_count() const {
-        std::uint64_t n = 0;
-        for (const Window& w : windows_) n += w.count;
-        return n;
-    }
-
 private:
     Tick window_;
     std::size_t max_windows_;

@@ -103,14 +103,10 @@ public:
     // ---- observation ---------------------------------------------------
     Role role() const { return role_; }
     bool is_origin() const { return !f_anr_.has_value(); }
-    bool candidate_active() const { return candidate_alive_ && active_; }
-    bool on_tour() const { return on_tour_; }
     std::uint64_t domain_size() const { return size_; }
     unsigned phase() const;
     NodeId known_leader() const { return known_leader_; }
     const InOutTree& inout() const { return tree_; }
-    /// Highest phase this node's candidate ever reached (Lemma 6 stats).
-    unsigned max_phase_reached() const { return max_phase_; }
     /// Captures performed by this node's candidate, histogrammed by the
     /// *victim domain's* phase (Lemma 6: at most n / 2^p entries at p).
     const std::vector<std::uint64_t>& captures_by_phase() const { return captures_by_phase_; }

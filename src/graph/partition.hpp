@@ -2,12 +2,12 @@
 //
 // The conservative-PDES kernel (node/parallel_cluster.hpp) assigns every
 // node to exactly one shard and runs shards concurrently in bounded time
-// windows. The window width is the *lookahead*: the minimum per-hop link
-// delay over edges that cross a shard boundary — a packet leaving shard A
-// at time t cannot arrive in shard B before t + lookahead, so shards may
-// safely run [t, t + lookahead) without hearing from each other. Fewer
-// boundary edges therefore mean both less cross-shard traffic at window
-// barriers and (with heterogeneous delays) potentially wider windows.
+// windows. The window width is the *lookahead*: the minimum per-hop
+// delay — a packet leaving shard A at time t cannot arrive in shard B
+// before t + lookahead, so shards may safely run [t, t + lookahead)
+// without hearing from each other. Every link shares one delay
+// configuration, so the cut does not move the lookahead; fewer boundary
+// edges mean less cross-shard traffic at window barriers.
 //
 // partition_bfs grows shards as contiguous BFS regions: each shard is a
 // ball of adjacent nodes, so most edges stay internal — the spatial
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -47,18 +46,5 @@ struct Partition {
 /// differ by more than one. Disconnected graphs are handled by restarting
 /// the BFS frontier at the next unassigned node.
 Partition partition_bfs(const Graph& g, std::uint32_t shards);
-
-/// Delay-aware variant for heterogeneous link delays: same quota and
-/// seeding rules as partition_bfs, but each shard grows Prim-style,
-/// always absorbing the unassigned node reachable over the *cheapest*
-/// (lowest `edge_min_delay`) connecting edge — ties broken by node id.
-/// Cheap edges are pulled inside shards, so the edges left on the
-/// boundary skew expensive: the conservative kernel's lookahead (the
-/// minimum boundary-crossing delay) can only match or beat the
-/// delay-blind partition's on the same graph. Deterministic: a pure
-/// function of (graph, shards, delays). `edge_min_delay[e]` is the
-/// minimum delay of edge e; the span must cover every edge.
-Partition partition_bfs_weighted(const Graph& g, std::uint32_t shards,
-                                 std::span<const Tick> edge_min_delay);
 
 }  // namespace fastnet::graph

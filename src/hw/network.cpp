@@ -7,7 +7,7 @@
 namespace fastnet::hw {
 
 NodeStreams::NodeStreams(NodeId node_count, const ModelParams& params,
-                         const NetworkConfig& config)
+                         const NetworkConfig& config, std::uint64_t seed)
     : counter_bits_(40 - ceil_log2(static_cast<std::uint64_t>(node_count) + 2)),
       pri_(node_count, 0),
       send_seq_(node_count, 0) {
@@ -16,12 +16,12 @@ NodeStreams::NodeStreams(NodeId node_count, const ModelParams& params,
     if (config.hop_delay_min >= 0 && params.hop_delay > config.hop_delay_min) {
         delay_rng_.reserve(node_count);
         for (NodeId u = 0; u < node_count; ++u)
-            delay_rng_.push_back(Rng::stream(config.seed, 2ull * u));
+            delay_rng_.push_back(Rng::stream(seed, 2ull * u));
     }
     if (config.loss_ppm > 0 || config.dup_ppm > 0) {
         fault_rng_.reserve(node_count);
         for (NodeId u = 0; u < node_count; ++u)
-            fault_rng_.push_back(Rng::stream(config.seed, 2ull * u + 1));
+            fault_rng_.push_back(Rng::stream(seed, 2ull * u + 1));
     }
 }
 
@@ -31,12 +31,12 @@ std::size_t NodeStreams::memory_bytes() const {
 }
 
 Fabric::Fabric(const graph::Graph& g, const ModelParams& params, NetworkConfig config,
-               graph::Partition partition)
+               graph::Partition partition, std::uint64_t seed)
     : graph_(g),
       params_(params),
       config_(std::move(config)),
       partition_(std::move(partition)),
-      streams_(g.node_count(), params_, config_),
+      streams_(g.node_count(), params_, config_, seed),
       shards_(partition_.shard_count, nullptr),
       node_down_(g.node_count(), 0),
       downed_head_(g.node_count(), kNoDowned),
@@ -54,17 +54,6 @@ Fabric::Fabric(const graph::Graph& g, const ModelParams& params, NetworkConfig c
     }
     // k bits per label: port ids 0..max_degree plus the copy flag.
     label_bits_ = ceil_log2(max_degree + 1) + 1;
-}
-
-Network::Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
-                 cost::Metrics& metrics, NetworkConfig config)
-    : Network(sim,
-              std::make_unique<Fabric>(g, params, std::move(config), graph::partition_bfs(g, 1)),
-              metrics) {}
-
-Network::Network(sim::Simulator& sim, std::unique_ptr<Fabric> own, cost::Metrics& metrics)
-    : Network(sim, *own, 0, metrics, own->config_.trace.get(), own->config_.monitors.get()) {
-    own_fabric_ = std::move(own);
 }
 
 Network::Network(sim::Simulator& sim, Fabric& fabric, std::uint32_t shard, cost::Metrics& metrics,

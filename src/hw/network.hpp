@@ -45,15 +45,6 @@ struct NetworkConfig {
     /// unit; setting this to P makes that constraint physical
     /// (ablation A6).
     Tick link_spacing = 0;
-    /// Seed of the per-node delay and fault streams (NodeStreams).
-    std::uint64_t seed = 1;
-    /// Optional observational trace (send / drop records).
-    std::shared_ptr<sim::Trace> trace;
-    /// Optional live invariant monitors (obs::MonitorHub). Like the
-    /// trace, purely observational: the fabric feeds it typed events
-    /// (send/hop/dup/retire/handoff) and an empty hub costs one
-    /// branch per hook (bench_obs_overhead guards this).
-    std::shared_ptr<obs::MonitorHub> monitors;
     /// Fault injection: per-transmission loss probability in parts per
     /// million (the data-link CRC rejects the frame and no retransmit
     /// succeeds). Drawn from a stream independent of the delay jitter, so
@@ -103,8 +94,9 @@ class NodeStreams {
 public:
     /// The RNG arrays are sized only when they are drawn from: delay
     /// streams when hop jitter is configured, fault streams when loss or
-    /// duplication is.
-    NodeStreams(NodeId node_count, const ModelParams& params, const NetworkConfig& config);
+    /// duplication is. `seed` keys every stream.
+    NodeStreams(NodeId node_count, const ModelParams& params, const NetworkConfig& config,
+                std::uint64_t seed);
 
     /// Keyed priority for an event scheduled by node `ctx`: (ctx + 1) in
     /// the high bits (0 is the control timeline), ctx's counter below,
@@ -162,9 +154,10 @@ public:
     using LinkSink = std::function<void(NodeId, EdgeId, bool)>;
 
     /// Node u belongs to shard `partition.shard_of[u]`; one Network per
-    /// shard attaches its event queue before the simulation runs.
+    /// shard attaches its event queue before the simulation runs. `seed`
+    /// keys the per-node delay and fault streams (NodeStreams).
     Fabric(const graph::Graph& g, const ModelParams& params, NetworkConfig config,
-           graph::Partition partition);
+           graph::Partition partition, std::uint64_t seed);
 
     Fabric(const Fabric&) = delete;
     Fabric& operator=(const Fabric&) = delete;
@@ -245,11 +238,9 @@ public:
     /// delivery is handed over by move.
     using NcuDispatch = std::function<void(NodeId, Delivery&&)>;
 
-    /// A whole simulation on one event queue: owns a one-shard fabric.
-    Network(sim::Simulator& sim, const graph::Graph& g, ModelParams params,
-            cost::Metrics& metrics, NetworkConfig config = {});
     /// Shard `shard` of `fabric`, which must outlive it; `trace` and
-    /// `monitors` (either may be null) are the shard's own.
+    /// `monitors` (either may be null) are the shard's own. A whole
+    /// simulation on one event queue is shard 0 of a one-shard fabric.
     Network(sim::Simulator& sim, Fabric& fabric, std::uint32_t shard, cost::Metrics& metrics,
             sim::Trace* trace, obs::MonitorHub* monitors);
 
@@ -380,8 +371,6 @@ private:
         outbox_.push_back(RemoteArrival{arrival, pri, to, e, epoch, *pkt});
         return true;
     }
-    /// The standalone constructor's second half, once `own` exists.
-    Network(sim::Simulator& sim, std::unique_ptr<Fabric> own, cost::Metrics& metrics);
     /// True when monitor events must be built (attached hub with at
     /// least one monitor registered).
     bool watched() const { return monitors_ != nullptr && monitors_->active(); }
@@ -389,8 +378,6 @@ private:
     /// bumps the specific metrics counter and releases the packet.
     void note_drop(NodeId node, EdgeId e, const Packet& pkt, sim::DropReason reason);
 
-    /// Set only by the standalone constructor; fabric_ refers to it.
-    std::unique_ptr<Fabric> own_fabric_;
     Fabric& fabric_;
     std::uint32_t shard_ = 0;
     sim::Simulator& sim_;

@@ -61,9 +61,6 @@ public:
         return AnrLabel(port | kCopyBit);
     }
 
-    /// Rehydrates a label from raw() — Route stores labels as raw words.
-    static AnrLabel from_raw(std::uint32_t raw) { return AnrLabel(raw); }
-
     PortId port() const { return raw_ & ~kCopyBit; }
     bool is_copy() const { return (raw_ & kCopyBit) != 0; }
 

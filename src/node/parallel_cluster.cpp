@@ -64,10 +64,8 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
                           : std::min(shard_count, exec::ThreadPool::hardware_threads()));
     if (threads_ == 0) threads_ = 1;
 
-    hw::NetworkConfig net_cfg = config_.net;
-    net_cfg.seed = config_.seed ^ 0x9e3779b97f4a7c15ULL;
-    fabric_ = std::make_unique<hw::Fabric>(graph_, config_.params, std::move(net_cfg),
-                                           std::move(part));
+    fabric_ = std::make_unique<hw::Fabric>(graph_, config_.params, config_.net, std::move(part),
+                                           config_.seed ^ 0x9e3779b97f4a7c15ULL);
     fabric_->set_link_sink([this](NodeId at, EdgeId e, bool up) {
         runtimes_[at]->on_link_notification(e, up);
     });
@@ -124,7 +122,7 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
         rt->set_trace(sh.trace);
         rt->set_profile_id(sh.metrics->profiler().register_protocol(rt->protocol().name()));
     }
-    if (shard_count > 1) pool_ = std::make_unique<exec::ThreadPool>(threads_);
+    if (threads_ > 1) pool_ = std::make_unique<exec::ThreadPool>(threads_);
 }
 
 ParallelCluster::~ParallelCluster() = default;
@@ -261,29 +259,22 @@ void ParallelCluster::apply_control_at(Tick t) {
 }
 
 void ParallelCluster::run_window(Tick until) {
-    if (shards_.size() == 1) {
-        shards_[0]->sim.run_until(until);
+    if (pool_ == nullptr) {
+        for (auto& sh : shards_) sh->sim.run_until(until);
     } else {
         for (auto& sh : shards_)
             pool_->submit([raw = sh.get(), until] { raw->sim.run_until(until); });
         pool_->wait_idle();
     }
-    // Drain outboxes. (at, pri) is globally unique — pri embeds the
-    // sending context — so the injection order, and with it the kHandoff
-    // dispatch order per target hub, is a pure function of the run.
-    std::vector<hw::RemoteArrival> pending;
+    // Drain outboxes straight into the target shards. The target queue
+    // orders arrivals by (at, pri), which is globally unique — pri embeds
+    // the sending context — so the injection order moves no event.
     for (auto& sh : shards_) {
         std::vector<hw::RemoteArrival>& outbox = sh->net->outbox();
-        pending.insert(pending.end(), std::make_move_iterator(outbox.begin()),
-                       std::make_move_iterator(outbox.end()));
+        for (const hw::RemoteArrival& r : outbox)
+            shards_[fabric_->shard_of(r.to)]->net->inject_remote(r);
         outbox.clear();
     }
-    std::sort(pending.begin(), pending.end(),
-              [](const hw::RemoteArrival& a, const hw::RemoteArrival& b) {
-                  return a.at != b.at ? a.at < b.at : a.pri < b.pri;
-              });
-    for (const hw::RemoteArrival& r : pending)
-        shards_[fabric_->shard_of(r.to)]->net->inject_remote(r);
 }
 
 void ParallelCluster::window_loop(Tick limit) {

@@ -4,13 +4,14 @@
 // is partitioned (graph/partition.hpp), one hw::Fabric holds the
 // network's link state for all of them, and each shard gets an
 // hw::Network over that fabric + its local NCU runtimes over its own
-// sim::Simulator. Shards execute concurrently on an exec::ThreadPool in
-// bounded time windows. The window width is the *lookahead* L — the
-// minimum per-hop delay over boundary edges: a packet leaving shard A at
-// time t cannot arrive in shard B before t + L, so shards may run
-// [t, t + L) without hearing from each other. Arrivals that cross a
-// boundary land in the sending network's outbox and are injected into
-// the target shard's network at the next window barrier.
+// sim::Simulator. Shards execute in bounded time windows, concurrently
+// on an exec::ThreadPool when there is more than one thread. The window
+// width is the *lookahead* L — the minimum per-hop delay, which every
+// link shares: a packet leaving shard A at time t cannot arrive in shard
+// B before t + L, so shards may run [t, t + L) without hearing from
+// each other. Arrivals that cross a boundary land in the sending
+// network's outbox and are injected into the target shard's network at
+// the next window barrier.
 //
 // Determinism contract (guarded by tests/test_parallel_sim.cpp): for a
 // fixed shard count, the merged metrics / trace / violations serialize
@@ -26,8 +27,9 @@
 //    at window barriers, while no shard runs; a link change draws its
 //    endpoints' notification priorities from one counter (hw::Fabric);
 //  * merges sort by simulated coordinates only: trace records by
-//    (at, node), violations by (at, node), cross-shard arrivals by
-//    (at, pri).
+//    (at, node), violations by (at, node); cross-shard arrivals need no
+//    sort, because the target's event queue orders them by (at, pri),
+//    which is globally unique.
 //
 // At shards = 1 (the default) there is one network, no boundary, and
 // windows collapse to one run-to-quiescence call: the same schedule,
@@ -72,8 +74,9 @@ struct ParallelClusterConfig {
     /// with jitter on — conservative windows need a positive minimum
     /// link delay).
     unsigned shards = 1;
-    /// Worker threads for shards > 1; 0 = min(shards, hardware). With
-    /// shards == 1 everything runs inline and no pool is created.
+    /// Worker threads for shards > 1; 0 = min(shards, hardware). With one
+    /// thread (or one shard) the shards run inline, in shard order, on
+    /// the calling thread, and no pool is created.
     unsigned threads = 0;
     /// Per-shard trace ring capacity; 0 = tracing off. The trace records
     /// starts, sends, hops, deliveries, timers, link events, drops,
@@ -263,9 +266,9 @@ private:
     /// Executes every pending control action scheduled at exactly `t`.
     void apply_control_at(Tick t);
     void apply_action(const ScenarioAction& a);
-    /// Runs every shard until `until` (inclusive), inline for one shard,
-    /// on the pool otherwise; then drains the networks' outboxes into
-    /// the target shards in (at, pri) order.
+    /// Runs every shard until `until` (inclusive), inline with one
+    /// thread, on the pool otherwise; then drains the networks' outboxes
+    /// into the target shards.
     void run_window(Tick until);
     /// The window loop; `limit` == kNever runs to quiescence.
     void window_loop(Tick limit);

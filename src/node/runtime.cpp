@@ -155,7 +155,7 @@ void NodeRuntime::begin_next_if_idle() {
 
 void NodeRuntime::complete(Work& w, Tick busy) {
     cost::NodeCounters& counters = net_.metrics().node(self_);
-    auto invoke_kind = obs::MonitorEvent::InvokeKind::kStart;
+    auto invoke_kind = cost::HandlerKind::kStart;
     std::uint64_t invoke_lineage = 0;
     if (std::holds_alternative<StartWork>(w)) {
         counters.starts += 1;
@@ -164,11 +164,11 @@ void NodeRuntime::complete(Work& w, Tick busy) {
                            {.b = static_cast<std::uint64_t>(busy)});
         protocol_->on_start(*this);
     } else if (std::holds_alternative<RestartWork>(w)) {
-        invoke_kind = obs::MonitorEvent::InvokeKind::kRestart;
+        invoke_kind = cost::HandlerKind::kRestart;
         counters.restarts += 1;
         protocol_->on_restart(*this);
     } else if (auto* d = std::get_if<hw::Delivery>(&w)) {
-        invoke_kind = obs::MonitorEvent::InvokeKind::kDelivery;
+        invoke_kind = cost::HandlerKind::kDelivery;
         invoke_lineage = d->lineage;
         counters.message_deliveries += 1;
         if (trace_ && trace_->enabled(sim::TraceKind::kDeliver))
@@ -184,7 +184,7 @@ void NodeRuntime::complete(Work& w, Tick busy) {
         protocol_->on_message(*this, *d);
         current_lineage_ = 0;
     } else if (auto* l = std::get_if<LinkWork>(&w)) {
-        invoke_kind = obs::MonitorEvent::InvokeKind::kLink;
+        invoke_kind = cost::HandlerKind::kLink;
         counters.link_events += 1;
         links_[l->link_index].active = l->up;
         if (trace_ && trace_->enabled(sim::TraceKind::kLinkChange))
@@ -199,7 +199,7 @@ void NodeRuntime::complete(Work& w, Tick busy) {
             cancelled_timers_.erase(it);
             return;  // cancelled after the fire event queued the work
         }
-        invoke_kind = obs::MonitorEvent::InvokeKind::kTimer;
+        invoke_kind = cost::HandlerKind::kTimer;
         invoke_lineage = t->lineage;
         counters.timer_fires += 1;
         if (trace_ && trace_->enabled(sim::TraceKind::kTimer))
@@ -211,10 +211,7 @@ void NodeRuntime::complete(Work& w, Tick busy) {
         protocol_->on_timer(*this, t->cookie);
         current_lineage_ = 0;
     }
-    // Always-on profiler: InvokeKind and cost::HandlerKind share value
-    // order, so the cast is the whole mapping.
-    net_.metrics().profiler().record(
-        profile_id_, static_cast<cost::HandlerKind>(invoke_kind), busy);
+    net_.metrics().profiler().record(profile_id_, invoke_kind, busy);
     if (obs::MonitorHub* hub = net_.monitors(); hub != nullptr && hub->active()) {
         obs::MonitorEvent ev;
         ev.kind = obs::MonitorEvent::Kind::kInvoke;

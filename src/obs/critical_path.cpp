@@ -11,8 +11,9 @@ namespace {
 constexpr Tick kNoHop = -1;
 
 /// Timer cookies carry their kind in the low nibble (paris convention).
-bool is_retry_cookie(std::uint64_t cookie, unsigned retry_kind) {
-    return retry_kind != 0 && (cookie & 0xF) == retry_kind;
+SegmentKind timer_wait_kind(std::uint64_t cookie) {
+    return (cookie & 0xF) == kRetryCookieKind ? SegmentKind::kRetryBackoff
+                                              : SegmentKind::kTimerWait;
 }
 
 }  // namespace
@@ -24,7 +25,7 @@ void CriticalPathBuilder::blame_add(std::uint64_t key, SegmentKind kind, Tick ti
     if (ticks <= 0) return;
     auto* slot = blame_.find(key);
     if (slot == nullptr) {
-        if (config_.blame_capacity != 0 && blame_.size() >= config_.blame_capacity) {
+        if (blame_.size() >= kBlameCapacity) {
             ++report_.blame_evicted;
             return;
         }
@@ -130,14 +131,7 @@ void CriticalPathBuilder::on_send(const sim::TraceRecord& r) {
     } else if (base.end > r.at) {
         ++report_.clamped;
     }
-    LiveEntry* slot = live_.find(r.lineage);
-    if (slot == nullptr) {
-        if (config_.max_live != 0 && live_.size() >= config_.max_live) {
-            ++report_.live_skipped;
-            return;
-        }
-        slot = &live_[r.lineage];
-    }
+    LiveEntry* slot = &live_[r.lineage];
     slot->root = base.root;
     slot->root_start = base.root_start;
     slot->prefix_end = base.end;
@@ -155,7 +149,7 @@ void CriticalPathBuilder::on_hop(const sim::TraceRecord& r) {
     if (r.lineage == 0) return;
     Tick* slot = hop_ctx_.find(r.lineage);
     if (slot == nullptr) {
-        if (config_.hop_ctx_capacity != 0 && hop_ctx_.size() >= config_.hop_ctx_capacity) {
+        if (hop_ctx_.size() >= kHopCtxCapacity) {
             ++report_.hop_ctx_evicted;
             return;
         }
@@ -204,20 +198,16 @@ void CriticalPathBuilder::on_deliver(const sim::TraceRecord& r) {
         e->last_depth = ctx.depth;
         e->last_seen = r.at;
     } else if (config_.anchor_root_deliveries) {
-        if (config_.max_live != 0 && live_.size() >= config_.max_live) {
-            ++report_.live_skipped;
-        } else {
-            LiveEntry& fresh = live_[r.lineage];
-            fresh.root = ctx.root;
-            fresh.root_start = ctx.root_start;
-            fresh.prefix_end = ctx.root_start;
-            fresh.last_end = ctx.end;
-            fresh.last_seen = r.at;
-            fresh.prefix = {};
-            fresh.last = ctx.totals.ticks;
-            fresh.prefix_depth = 0;
-            fresh.last_depth = ctx.depth;
-        }
+        LiveEntry& fresh = live_[r.lineage];
+        fresh.root = ctx.root;
+        fresh.root_start = ctx.root_start;
+        fresh.prefix_end = ctx.root_start;
+        fresh.last_end = ctx.end;
+        fresh.last_seen = r.at;
+        fresh.prefix = {};
+        fresh.last = ctx.totals.ticks;
+        fresh.prefix_depth = 0;
+        fresh.last_depth = ctx.depth;
     }
     cur_valid_ = true;
     cur_at_ = r.at;
@@ -233,7 +223,7 @@ void CriticalPathBuilder::on_deliver(const sim::TraceRecord& r) {
     if (config_.top > 0) {
         TreeEntry* t = trees_.find(ctx.root);
         if (t == nullptr) {
-            if (config_.max_roots != 0 && trees_.size() >= config_.max_roots) {
+            if (trees_.size() >= kMaxRoots) {
                 ++report_.roots_skipped;
             } else {
                 t = &trees_[ctx.root];
@@ -257,9 +247,7 @@ void CriticalPathBuilder::on_timer(const sim::TraceRecord& r) {
     ++report_.timer_fires;
     const Tick busy = static_cast<Tick>(r.b);
     const Tick armed = static_cast<Tick>(r.c);
-    const SegmentKind wait = is_retry_cookie(r.a, config_.retry_cookie_kind)
-                                 ? SegmentKind::kRetryBackoff
-                                 : SegmentKind::kTimerWait;
+    const SegmentKind wait = timer_wait_kind(r.a);
     {
         const Tick handler_start = std::max(armed, r.at - busy);
         blame_add(r.node, SegmentKind::kHandler, r.at - handler_start);
@@ -282,24 +270,17 @@ void CriticalPathBuilder::on_timer(const sim::TraceRecord& r) {
     }
     extend(ctx, r.at, busy, armed, /*is_delivery=*/false, wait, r.lineage);
     if (e == nullptr) {
-        if (config_.max_live != 0 && live_.size() >= config_.max_live) {
-            ++report_.live_skipped;
-            e = nullptr;
-        } else {
-            e = &live_[r.lineage];
-            e->root = ctx.root;
-            e->root_start = ctx.root_start;
-            e->prefix_end = ctx.root_start;
-            e->prefix = {};
-            e->prefix_depth = 0;
-        }
+        e = &live_[r.lineage];
+        e->root = ctx.root;
+        e->root_start = ctx.root_start;
+        e->prefix_end = ctx.root_start;
+        e->prefix = {};
+        e->prefix_depth = 0;
     }
-    if (e != nullptr) {
-        e->last = ctx.totals.ticks;
-        e->last_end = ctx.end;
-        e->last_depth = ctx.depth;
-        e->last_seen = r.at;
-    }
+    e->last = ctx.totals.ticks;
+    e->last_end = ctx.end;
+    e->last_depth = ctx.depth;
+    e->last_seen = r.at;
     cur_valid_ = true;
     cur_at_ = r.at;
     cur_node_ = r.node;
@@ -419,8 +400,7 @@ std::size_t rfind_before(std::span<const sim::TraceRecord> rs, std::size_t from,
 }  // namespace
 
 PathWaterfall path_waterfall(std::span<const sim::TraceRecord> chain_records,
-                             const PathSummary& path,
-                             const CriticalPathConfig& config) {
+                             const PathSummary& path) {
     constexpr auto npos = static_cast<std::size_t>(-1);
     PathWaterfall wf;
     wf.summary = path;
@@ -443,10 +423,7 @@ PathWaterfall path_waterfall(std::span<const sim::TraceRecord> chain_records,
         const Tick handler_start = std::max(anchor, r.at - busy);
         push(SegmentKind::kHandler, handler_start, r.at, r.node, r.lineage);
         if (r.kind == sim::TraceKind::kTimer) {
-            push(is_retry_cookie(r.a, config.retry_cookie_kind)
-                     ? SegmentKind::kRetryBackoff
-                     : SegmentKind::kTimerWait,
-                 anchor, handler_start, r.node, r.lineage);
+            push(timer_wait_kind(r.a), anchor, handler_start, r.node, r.lineage);
             // The arming completion: same lineage, same node, at the
             // arming instant (the arming handler completed there).
             cur = rfind_before(chain_records, cur, [&](const sim::TraceRecord& p) {
@@ -493,11 +470,11 @@ PathWaterfall path_waterfall(std::span<const sim::TraceRecord> chain_records,
         cur = parent;
     }
     std::reverse(rev.begin(), rev.end());
-    if (config.max_path_segments != 0 && rev.size() > config.max_path_segments) {
+    if (rev.size() > kMaxPathSegments) {
         // Head/tail elision: keep the chain's start and finish, drop
         // the middle (totals in the summary stay exact).
-        const std::size_t head = config.max_path_segments / 2;
-        const std::size_t tail = config.max_path_segments - head;
+        const std::size_t head = kMaxPathSegments / 2;
+        const std::size_t tail = kMaxPathSegments - head;
         wf.elided = rev.size() - head - tail;
         std::vector<PathSegment> kept;
         kept.reserve(head + tail);
@@ -618,7 +595,7 @@ std::string format_critical_path(const CriticalPathReport& report) {
     out += " pruned=";
     out += std::to_string(report.live_pruned);
     out += " skipped=";
-    out += std::to_string(report.live_skipped + report.roots_skipped);
+    out += std::to_string(report.roots_skipped);
     out += " evicted=";
     out += std::to_string(report.hop_ctx_evicted + report.blame_evicted);
     out += "\n";
@@ -697,7 +674,7 @@ cost::CriticalPathStats to_path_stats(const CriticalPathReport& report) {
     stats.deliveries = report.deliveries;
     stats.unanchored = report.unanchored_sends + report.unanchored_timers;
     stats.clamped = report.clamped;
-    stats.pruned = report.live_pruned + report.live_skipped;
+    stats.pruned = report.live_pruned;
     return stats;
 }
 

@@ -31,13 +31,13 @@
 // lineage and created only at a *child* kSend (parent != 0): root
 // injections and root deliveries are self-describing through `c`, so a
 // million-node t=0 broadcast burst costs nothing. Entries age out via
-// `horizon` (live_pruned counter) and are hard-capped by `max_live`;
-// a delivery whose entry is gone re-anchors as a fresh root (loud
-// counters flag the reduced confidence, the exact-sum invariant holds
-// per reported path regardless). With `top == 0` the pass keeps only
-// the global witness — O(1) chain state — which is how the 10^6-node
-// election fits the bench_memory_scale 4 MiB budget
-// (bench/bench_critical_path.cpp gates this).
+// `horizon` (live_pruned counter); a delivery whose entry is gone
+// re-anchors as a fresh root (loud counters flag the reduced
+// confidence, the exact-sum invariant holds per reported path
+// regardless). With `top == 0` the pass keeps only the global witness
+// — O(1) chain state — which is how the 10^6-node election fits the
+// bench_memory_scale 4 MiB budget (bench/bench_critical_path.cpp gates
+// this).
 //
 // Everything is a pure function of the merged record stream, so output
 // is byte-identical across shard x thread counts
@@ -82,30 +82,27 @@ struct CriticalPathConfig {
     /// pruned. 0 = never prune. Must exceed the longest send->delivery
     /// leg for full-confidence attribution.
     Tick horizon = 0;
-    /// Hard cap on live chain entries; further child sends go
-    /// unanchored (counter). 0 = unbounded.
-    std::size_t max_live = 0;
-    /// Root aggregates tracked when top > 0; further roots are skipped
-    /// (roots_skipped counter).
-    std::size_t max_roots = 1 << 16;
-    /// Last-hop contexts (queueing/transit split) kept concurrently.
-    std::size_t hop_ctx_capacity = 1 << 12;
-    /// Per-node + per-link blame buckets kept (first-seen wins,
-    /// blame_evicted counts the rest).
-    std::size_t blame_capacity = 1 << 12;
     /// Keep chain state for delivered *root* lineages too, so timers
     /// armed inside root handlers chain onto the delivery (paris call
     /// setup). Costs one live entry per delivered root — turn off for
     /// witness-only passes at extreme scale (the million-node bench
     /// traces no timers, so nothing is lost there).
     bool anchor_root_deliveries = true;
-    /// Timer cookies whose low nibble equals this are classified
-    /// kRetryBackoff instead of kTimerWait (paris::kCookieRetry == 5);
-    /// 0 disables the reclassification.
-    unsigned retry_cookie_kind = 5;
-    /// Waterfall segment cap (head/tail elision; totals stay exact).
-    std::size_t max_path_segments = 256;
 };
+
+/// Root aggregates tracked when top > 0; further roots are skipped
+/// (roots_skipped counter).
+inline constexpr std::size_t kMaxRoots = 1 << 16;
+/// Last-hop contexts (queueing/transit split) kept concurrently.
+inline constexpr std::size_t kHopCtxCapacity = 1 << 12;
+/// Per-node + per-link blame buckets kept (first-seen wins,
+/// blame_evicted counts the rest).
+inline constexpr std::size_t kBlameCapacity = 1 << 12;
+/// Timer cookies whose low nibble equals this are classified
+/// kRetryBackoff instead of kTimerWait (paris::kCookieRetry).
+inline constexpr unsigned kRetryCookieKind = 5;
+/// Waterfall segment cap (head/tail elision; totals stay exact).
+inline constexpr std::size_t kMaxPathSegments = 256;
 
 /// One reported chain: root injection -> terminal handler completion.
 struct PathSummary {
@@ -146,8 +143,7 @@ struct CriticalPathReport {
     // ---- confidence counters: nonzero means some attribution was
     // reconstructed without full chain context -------------------------
     std::uint64_t live_pruned = 0;     ///< Entries aged out by horizon.
-    std::uint64_t live_skipped = 0;    ///< Entries refused by max_live.
-    std::uint64_t roots_skipped = 0;   ///< Roots beyond max_roots.
+    std::uint64_t roots_skipped = 0;   ///< Roots beyond kMaxRoots.
     std::uint64_t hop_ctx_evicted = 0;
     std::uint64_t blame_evicted = 0;
     std::uint64_t unanchored_sends = 0;  ///< Child sends with no parent context.
@@ -278,8 +274,7 @@ struct PathWaterfall {
 /// ancestry lineages, chronological — obs::chain_records over the
 /// terminal's LineageIndex ancestry provides exactly that).
 PathWaterfall path_waterfall(std::span<const sim::TraceRecord> chain_records,
-                             const PathSummary& path,
-                             const CriticalPathConfig& config = {});
+                             const PathSummary& path);
 
 // ---- rendering ----------------------------------------------------------
 

@@ -213,14 +213,13 @@ void MemoryBudgetMonitor::on_event(MonitorHub& hub, const MonitorEvent& ev) {
                        std::to_string(ceiling_));
     }
     over_[ev.node] = over ? 1 : 0;
-    if (board_) board_->set(ev.node, over);
 }
 
 // ---- SerializedSendMonitor -----------------------------------------------
 
 void SerializedSendMonitor::on_event(MonitorHub& hub, const MonitorEvent& ev) {
     if (ev.kind == MonitorEvent::Kind::kInvoke && ev.node != kNoNode &&
-        static_cast<MonitorEvent::InvokeKind>(ev.a) == MonitorEvent::InvokeKind::kRestart) {
+        static_cast<cost::HandlerKind>(ev.a) == cost::HandlerKind::kRestart) {
         if (ev.node < last_send_.size()) last_send_[ev.node] = kNever;
         return;
     }

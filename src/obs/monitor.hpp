@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "cost/metrics.hpp"
 #include "sim/trace.hpp"
 #include "util/flat_map.hpp"
 
@@ -45,7 +46,7 @@ namespace fastnet::obs {
 /// | kRetire   | —          | yes     | —                  | —              |
 /// | kHandoff  | target     | yes     | edge               | —              |
 /// | kEnqueue  | NCU        | —       | queue depth        | —              |
-/// | kInvoke   | NCU        | maybe   | InvokeKind         | busy ticks     |
+/// | kInvoke   | NCU        | maybe   | cost::HandlerKind  | busy ticks     |
 /// | kMemory   | node       | —       | bytes at this node | —              |
 /// | kTraceDrop| kNoNode    | —       | records dropped    | details dropped|
 struct MonitorEvent {
@@ -65,11 +66,6 @@ struct MonitorEvent {
                      ///< before the end-of-run sweep so truncation is
                      ///< loud, never silent.
     };
-    /// Work-item discriminator of a kInvoke event (`a`).
-    enum class InvokeKind : std::uint8_t {
-        kStart = 0, kRestart, kDelivery, kLink, kTimer,
-    };
-
     Kind kind = Kind::kSend;
     Tick at = 0;
     NodeId node = kNoNode;
@@ -233,26 +229,6 @@ private:
     util::FlatMap64<Tick> last_arrival_;
 };
 
-/// Shared memory-pressure signal. The MemoryBudgetMonitor raises a
-/// node's flag while its sampled footprint exceeds the budget and clears
-/// it once the node drops back under; consumers (the call agents'
-/// admission control) poll their own node's flag. One byte per node, no
-/// callback coupling — and deterministic, because producer and consumer
-/// live inside the same simulation. Wire one board per case/cluster;
-/// sharing a board across concurrently-running cases or shards would
-/// break replay determinism.
-class PressureBoard {
-public:
-    bool over(NodeId u) const { return u < over_.size() && over_[u] != 0; }
-    void set(NodeId u, bool over) {
-        if (u >= over_.size()) over_.resize(u + 1, 0);
-        over_[u] = over ? 1 : 0;
-    }
-
-private:
-    std::vector<std::uint8_t> over_;
-};
-
 /// Per-node memory ceiling: fires when a node's sampled footprint
 /// (runtime + protocol bytes, the `a` of a kMemory event) first crosses
 /// `ceiling_bytes`, and re-arms once the node drops back under — so a
@@ -265,14 +241,9 @@ public:
     const char* name() const override { return "memory_budget"; }
     void on_event(MonitorHub& hub, const MonitorEvent& ev) override;
 
-    /// Mirrors each node's over/under state onto `board` (see
-    /// PressureBoard) so protocols can shed load under memory pressure.
-    void share_pressure(std::shared_ptr<PressureBoard> board) { board_ = std::move(board); }
-
 private:
     std::uint64_t ceiling_;
     std::vector<std::uint8_t> over_;  ///< Per node, lazily sized.
-    std::shared_ptr<PressureBoard> board_;
 };
 
 /// A1 serialized send: one NCU injects at most one packet per `min_gap`

@@ -303,7 +303,6 @@ void CallAgentProtocol::on_restart(node::Context& ctx) {
 // ---- admission and arrivals ----------------------------------------------
 
 bool CallAgentProtocol::admit(node::Context& ctx) {
-    if (options_.pressure && options_.pressure->over(ctx.self())) return false;
     if (options_.shed_above_records != 0 && live_records_ >= options_.shed_above_records)
         return false;
     if (options_.max_inflight != 0 && inflight_setups_ >= options_.max_inflight)

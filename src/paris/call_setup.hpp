@@ -31,7 +31,7 @@
 //   * a source-side setup timer whose expiry is REJECT-equivalent,
 //   * bounded retries with exponential backoff + seeded jitter,
 //   * admission control (max in-flight setups, token-bucket arrival
-//     shedding, live-record ceiling, obs::PressureBoard hook),
+//     shedding, live-record ceiling),
 //   * a reservation lease at every non-source hop: the source refreshes
 //     active calls with a periodic copy packet; a hop whose lease
 //     lapses reaps the orphaned reservation locally,
@@ -48,7 +48,6 @@
 #include "graph/graph.hpp"
 #include "hw/anr.hpp"
 #include "node/parallel_cluster.hpp"
-#include "obs/monitor.hpp"
 #include "paris/workload.hpp"
 #include "util/flat_map.hpp"
 
@@ -171,9 +170,6 @@ struct CallAgentOptions {
     /// Admission: shed arrivals while this node holds this many live
     /// call records (0 = off).
     std::size_t shed_above_records = 0;
-    /// Admission: shed arrivals while the MemoryBudgetMonitor reports
-    /// this node over budget (see obs::PressureBoard).
-    std::shared_ptr<const obs::PressureBoard> pressure;
     /// Keep terminal records queryable via state_of (tests want this).
     /// Sustained workloads set false: resolved slots are recycled and
     /// memory stays proportional to concurrent calls.

@@ -48,7 +48,6 @@ public:
     void advance_to(Tick t);
 
     bool idle() const { return queue_.empty(); }
-    std::size_t pending_events() const { return queue_.size(); }
 
     /// Time of the earliest pending event; kNever when idle.
     Tick next_time() const { return queue_.next_time(); }

@@ -399,11 +399,11 @@ int main() {
     // allocating despite being filtered) trips the budget below. Same for
     // an attached-but-empty monitor hub: no registered monitors means no
     // events get built, so it must contribute zero allocations too.
-    hw::NetworkConfig net_cfg;
-    net_cfg.trace = std::make_shared<sim::Trace>(std::size_t{1} << 12);
-    net_cfg.trace->disable_all();
-    net_cfg.monitors = std::make_shared<obs::MonitorHub>();
-    hw::Network net(sim, g, ModelParams::traditional(), metrics, net_cfg);
+    sim::Trace trace(std::size_t{1} << 12);
+    trace.disable_all();
+    obs::MonitorHub monitors;
+    hw::Fabric fabric(g, ModelParams::traditional(), {}, graph::partition_bfs(g, 1), 1);
+    hw::Network net(sim, fabric, 0, metrics, &trace, &monitors);
     std::uint64_t delivered = 0;
     net.set_ncu_dispatch([&](NodeId, const hw::Delivery&) { ++delivered; });
 

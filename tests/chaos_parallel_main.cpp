@@ -2,10 +2,9 @@
 //
 // The one-shard chaos gate (chaos_smoke_main.cpp) stresses the protocol
 // stack; this one stresses the *kernel*: every seed's fault script runs
-// through node::ParallelCluster at several shard counts — sharded
-// mirrors, bounded windows,
-// cross-shard outboxes — and is held against the same convergence
-// oracle. The harness (scripts/chaos_parallel.sh) runs this binary at
+// through node::ParallelCluster at several shard counts — one shared
+// fabric, bounded windows, cross-shard outboxes — and is held against
+// the same convergence oracle. The harness (scripts/chaos_parallel.sh) runs this binary at
 // several (shards, threads) combinations and byte-diffs the JSON: the
 // partitioned execution must produce the same completion times, cost
 // counters and monitor verdicts as the single-shard run, at any worker

@@ -2,7 +2,7 @@
 // checks on handcrafted record streams — the exact-sum conservation law,
 // segment classification (hop splits, timer wait vs retry backoff),
 // witness and top-N selection, the bounded-memory controls (horizon
-// pruning, live/blame caps) and their confidence counters — plus the
+// pruning, the blame cap) and their confidence counters — plus the
 // BoundAudit bridge and the spill-side checks: LineageIndex ancestry
 // under link-layer duplication (dup_ppm) and spill inputs split across
 // multiple directories.
@@ -260,25 +260,17 @@ TEST(CriticalPath, BlameIsExactUnderPruning) {
     }
 }
 
-TEST(CriticalPath, LiveCapSkipsAndCounts) {
-    std::vector<sim::TraceRecord> rs;
-    rs.push_back(rec(sim::TraceKind::kDeliver, 10, 1, 1, 0, 1, 0));  // entry for root 1
-    rs.push_back(rec(sim::TraceKind::kSend, 10, 1, 2, 0, /*parent=*/1, 10));
-    CriticalPathConfig cfg;
-    cfg.max_live = 1;
-    const CriticalPathReport report = report_of(rs, cfg);
-    EXPECT_EQ(report.live_skipped, 1u);
-}
-
 TEST(CriticalPath, BlameCapEvictsAndCounts) {
+    // One delivery per distinct node, each pricing only its handler
+    // (busy spans the whole leg): the first kBlameCapacity nodes get a
+    // bucket, each later one is refused once.
+    constexpr std::size_t kOver = 5;
     std::vector<sim::TraceRecord> rs;
-    for (NodeId u = 0; u < 8; ++u)
-        rs.push_back(rec(sim::TraceKind::kDeliver, 10, u, u + 1, 0, 1, 0));
-    CriticalPathConfig cfg;
-    cfg.blame_capacity = 3;
-    const CriticalPathReport report = report_of(rs, cfg);
-    EXPECT_EQ(report.node_blame.size(), 3u);
-    EXPECT_GE(report.blame_evicted, 5u);
+    for (NodeId u = 0; u < kBlameCapacity + kOver; ++u)
+        rs.push_back(rec(sim::TraceKind::kDeliver, 10, u, u + 1, 0, /*busy=*/10, 0));
+    const CriticalPathReport report = report_of(rs);
+    EXPECT_EQ(report.node_blame.size(), kBlameCapacity);
+    EXPECT_EQ(report.blame_evicted, kOver);
 }
 
 // ---- audit bridge and stats folding -------------------------------------

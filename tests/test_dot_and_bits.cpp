@@ -45,13 +45,16 @@ TEST(Dot, AnnotationsAndHighlights) {
 
 struct BitFixture {
     explicit BitFixture(graph::Graph graph)
-        : g(std::move(graph)), metrics(g.node_count()),
-          net(sim, g, ModelParams::fast_network(), metrics) {
+        : g(std::move(graph)),
+          metrics(g.node_count()),
+          fabric(g, ModelParams::fast_network(), {}, graph::partition_bfs(g, 1), 1),
+          net(sim, fabric, 0, metrics, nullptr, nullptr) {
         net.set_ncu_dispatch([](NodeId, const hw::Delivery&) {});
     }
     sim::Simulator sim;
     graph::Graph g;
     cost::Metrics metrics;
+    hw::Fabric fabric;
     hw::Network net;
 };
 

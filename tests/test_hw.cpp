@@ -81,16 +81,21 @@ TEST(Anr, SpliceRequiresNcuTerminatedPrefix) {
 
 // ---- transport fixture ----------------------------------------------
 
+/// One network on one event queue: shard 0 of a one-shard fabric.
 struct Fixture {
     explicit Fixture(Graph graph, ModelParams params = ModelParams::fast_network(),
-                     NetworkConfig cfg = {})
-        : g(std::move(graph)), metrics(g.node_count()), net(sim, g, params, metrics, cfg) {
+                     NetworkConfig cfg = {}, std::uint64_t seed = 1)
+        : g(std::move(graph)),
+          metrics(g.node_count()),
+          fabric(g, params, cfg, graph::partition_bfs(g, 1), seed),
+          net(sim, fabric, 0, metrics, nullptr, nullptr) {
         net.set_ncu_dispatch([this](NodeId u, const Delivery& d) { inbox[u].push_back(d); });
         inbox.resize(g.node_count());
     }
     sim::Simulator sim;
     Graph g;
     cost::Metrics metrics;
+    Fabric fabric;
     Network net;
     std::vector<std::vector<Delivery>> inbox;
 };
@@ -299,8 +304,7 @@ TEST(Network, FifoPreservedUnderJitter) {
     p.hop_delay = 20;
     NetworkConfig cfg;
     cfg.hop_delay_min = 1;
-    cfg.seed = 5;
-    Fixture f(graph::make_path(2), p, cfg);
+    Fixture f(graph::make_path(2), p, cfg, /*seed=*/5);
     const std::vector<NodeId> path{0, 1};
     for (int i = 0; i < 50; ++i)
         f.net.send(0, f.net.route(path), std::make_shared<TextPayload>(std::to_string(i)));

@@ -19,16 +19,20 @@ struct Mark final : TypedPayload<Mark> {
     int value;
 };
 
+/// One network on one event queue: shard 0 of a one-shard fabric.
 struct Fixture {
-    explicit Fixture(graph::Graph graph, NetworkConfig cfg = {})
-        : g(std::move(graph)), metrics(g.node_count()),
-          net(sim, g, ModelParams::fast_network(), metrics, cfg) {
+    explicit Fixture(graph::Graph graph, NetworkConfig cfg = {}, std::uint64_t seed = 1)
+        : g(std::move(graph)),
+          metrics(g.node_count()),
+          fabric(g, ModelParams::fast_network(), cfg, graph::partition_bfs(g, 1), seed),
+          net(sim, fabric, 0, metrics, nullptr, nullptr) {
         inbox.resize(g.node_count());
         net.set_ncu_dispatch([this](NodeId u, const Delivery& d) { inbox[u].push_back(d); });
     }
     sim::Simulator sim;
     graph::Graph g;
     cost::Metrics metrics;
+    Fabric fabric;
     Network net;
     std::vector<std::vector<Delivery>> inbox;
 };
@@ -124,11 +128,10 @@ TEST_P(HwFaultProperty, PacketsConservedUnderChurnLossAndDuplication) {
     // epoch bump, none leaks.
     Rng rng(GetParam() ^ 0xfau);
     NetworkConfig cfg;
-    cfg.seed = GetParam();
     cfg.hop_delay_min = 0;  // jittered hops: packets linger mid-flight
     if (GetParam() % 2 == 1) cfg.loss_ppm = 50'000;
     if (GetParam() % 3 == 0) cfg.dup_ppm = 50'000;
-    Fixture f(graph::make_random_connected(16, 2, 10, rng), cfg);
+    Fixture f(graph::make_random_connected(16, 2, 10, rng), cfg, /*seed=*/GetParam());
     for (int i = 0; i < 40; ++i) {
         const NodeId from = static_cast<NodeId>(rng.below(16));
         const auto path = random_simple_path(f.g, from, 6, rng);
@@ -162,7 +165,8 @@ TEST_P(HwFaultProperty, FlapDropsThePacketInFlightOnTheFlappedLink) {
     for (int trial = 0; trial < 10; ++trial) {
         sim::Simulator sim;
         cost::Metrics m(6);
-        Network net(sim, g, p, m);
+        Fabric fabric(g, p, {}, graph::partition_bfs(g, 1), 1);
+        Network net(sim, fabric, 0, m, nullptr, nullptr);
         std::vector<Delivery> inbox;
         net.set_ncu_dispatch([&inbox](NodeId, const Delivery& d) { inbox.push_back(d); });
         const std::size_t hop = rng.below(5);  // kill the packet on this hop
@@ -202,8 +206,9 @@ TEST_P(HwFaultProperty, DetectionDelayReportsExactlyThePersistentStates) {
         cfg.detection_delay = kDetect;
         sim::Simulator sim;
         cost::Metrics m(2);
-        const graph::Graph g = graph::make_path(2);  // Network keeps a reference
-        Network net(sim, g, ModelParams::fast_network(), m, cfg);
+        const graph::Graph g = graph::make_path(2);  // Fabric keeps a reference
+        Fabric fabric(g, ModelParams::fast_network(), cfg, graph::partition_bfs(g, 1), 1);
+        Network net(sim, fabric, 0, m, nullptr, nullptr);
         std::vector<std::vector<bool>> heard(2);
         net.set_link_sink([&heard](NodeId u, EdgeId, bool up) { heard[u].push_back(up); });
 

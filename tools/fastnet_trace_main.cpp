@@ -57,7 +57,6 @@ int usage(const char* argv0) {
                  "       [--calls] [--node N] [--kind NAME] [--lineage L] [--from T]\n"
                  "       [--to T] [--chain L]\n"
                  "       [--critical-path] [--top N] [--waterfall] [--flame OUT]\n"
-                 "       [--retry-kind K]\n"
                  "  --calls groups call-event records into per-call leg timelines\n"
                  "  (combines with --node/--from/--to to narrow the set)\n"
                  "  --critical-path prices end-to-end latency: the witness chain to\n"
@@ -326,7 +325,7 @@ int run_critical_path(Input& in, const CriticalPathQuery& q) {
     if (!obs::chain_records(in.records(), index.ancestry(report.witness.terminal), chain,
                             &error))
         return in.fail(error);
-    const obs::PathWaterfall wf = obs::path_waterfall(chain, report.witness, q.config);
+    const obs::PathWaterfall wf = obs::path_waterfall(chain, report.witness);
     if (q.waterfall) std::cout << obs::format_waterfall(wf);
     if (!q.flame.empty()) {
         if (!write_flame(q.flame, in.trace.meta, chain, wf, &error)) {
@@ -413,9 +412,6 @@ int main(int argc, char** argv) {
             cp.waterfall = true;
         } else if (std::strcmp(arg, "--flame") == 0 && has_value) {
             cp.flame = argv[++i];
-        } else if (std::strcmp(arg, "--retry-kind") == 0 && has_value) {
-            cp.config.retry_cookie_kind =
-                static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
         } else if (std::strcmp(arg, "--summary") == 0) {
             summary = true;
         } else if (std::strcmp(arg, "--reconvergence") == 0) {
