@@ -208,7 +208,7 @@ ScalePoint measure_ring_election(NodeId n) {
 double measure_hop_ns(NodeId n) {
     const graph::Graph g = graph::make_path(n);
     sim::Simulator sim;
-    cost::Metrics metrics(g.node_count());
+    cost::Metrics metrics(0);
     hw::Fabric fabric(g, ModelParams::traditional(), {}, graph::partition_bfs(g, 1), 1);
     hw::Network net(sim, fabric, 0, metrics, nullptr, nullptr);
     std::uint64_t delivered = 0;

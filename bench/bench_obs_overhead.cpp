@@ -83,8 +83,8 @@ HopMeasurement measure_hops(sim::Trace* trace, Tick sample_window,
     constexpr NodeId kNodes = 4096;
     const graph::Graph g = graph::make_path(kNodes);
     sim::Simulator sim;
-    cost::Metrics metrics(g.node_count());
-    if (sample_window > 0) metrics.enable_sampling(sample_window);
+    cost::Metrics metrics(0);
+    if (sample_window > 0) metrics.enable_sampling(g.node_count(), sample_window);
     hw::Fabric fabric(g, ModelParams::traditional(), {}, graph::partition_bfs(g, 1), 1);
     hw::Network net(sim, fabric, 0, metrics, trace, monitors);
     std::uint64_t delivered = 0;

@@ -115,7 +115,7 @@ void bench_hop_cost(bench::JsonReporter& out) {
     constexpr NodeId kNodes = 4096;
     const graph::Graph g = graph::make_path(kNodes);
     sim::Simulator sim;
-    cost::Metrics metrics(g.node_count());
+    cost::Metrics metrics(0);
     hw::Fabric fabric(g, ModelParams::traditional(), {}, graph::partition_bfs(g, 1), 1);
     hw::Network net(sim, fabric, 0, metrics, nullptr, nullptr);
     std::uint64_t delivered = 0;

@@ -157,19 +157,6 @@ void CallStats::merge_from(const CallStats& o) {
 }
 
 void Metrics::merge_from(const Metrics& o) {
-    FASTNET_EXPECTS(o.nodes_.size() == nodes_.size());
-    for (std::size_t u = 0; u < nodes_.size(); ++u) {
-        NodeCounters& into = nodes_[u];
-        const NodeCounters& from = o.nodes_[u];
-        into.message_deliveries += from.message_deliveries;
-        into.starts += from.starts;
-        into.timer_fires += from.timer_fires;
-        into.link_events += from.link_events;
-        into.sends += from.sends;
-        into.crashes += from.crashes;
-        into.restarts += from.restarts;
-        into.busy_time += from.busy_time;
-    }
     net_.injections += o.net_.injections;
     net_.hops += o.net_.hops;
     net_.ncu_deliveries += o.net_.ncu_deliveries;
@@ -197,9 +184,9 @@ void Metrics::record_memory(const MemorySample& s) {
     memory_latest_ = s;
     ++memory_samples_;
     peak_node_bytes_ = std::max(peak_node_bytes_, s.max_node_bytes);
-    if (sampling_ != nullptr && !nodes_.empty()) {
-        const double mean =
-            static_cast<double>(s.breakdown.total()) / static_cast<double>(nodes_.size());
+    if (sampling_ != nullptr && sampling_->node_count() != 0) {
+        const double mean = static_cast<double>(s.breakdown.total()) /
+                            static_cast<double>(sampling_->node_count());
         sampling_->bytes_per_node().add(s.at, mean);
     }
 }
@@ -214,14 +201,12 @@ void Metrics::reset() {
     memory_latest_ = MemorySample{};
     memory_samples_ = 0;
     peak_node_bytes_ = 0;
-    if (sampling_ != nullptr) {
-        const Tick w = sampling_->window();
-        sampling_ = std::make_unique<Sampling>(static_cast<NodeId>(nodes_.size()), w);
-    }
+    if (sampling_ != nullptr)
+        sampling_ = std::make_unique<Sampling>(sampling_->node_count(), sampling_->window());
 }
 
-void Metrics::enable_sampling(Tick window) {
-    sampling_ = std::make_unique<Sampling>(static_cast<NodeId>(nodes_.size()), window);
+void Metrics::enable_sampling(NodeId node_count, Tick window) {
+    sampling_ = std::make_unique<Sampling>(node_count, window);
 }
 
 CostReport snapshot(const Metrics& m, Tick completion_time) {

@@ -22,7 +22,8 @@
 
 namespace fastnet::cost {
 
-/// Per-node NCU accounting.
+/// Per-node NCU accounting. Each node::NodeRuntime keeps its own, as the
+/// only writer; ParallelCluster::merged_metrics() gathers them.
 struct NodeCounters {
     std::uint64_t message_deliveries = 0;  ///< Packets handed to this NCU.
     std::uint64_t starts = 0;              ///< Spontaneous protocol starts.
@@ -321,13 +322,21 @@ struct TraceStats {
     void merge_from(const TraceStats& o);
 };
 
-/// One experiment's ledger (one per shard of a ParallelCluster).
+/// One experiment's ledger. Each shard of a ParallelCluster keeps one
+/// with no per-node table; merged_metrics() folds them and fills its own
+/// per-node table from the runtimes.
 class Metrics {
 public:
     explicit Metrics(NodeId node_count) : nodes_(node_count) {}
 
-    NodeCounters& node(NodeId u) { return nodes_[u]; }
-    const NodeCounters& node(NodeId u) const { return nodes_[u]; }
+    NodeCounters& node(NodeId u) {
+        FASTNET_EXPECTS(u < nodes_.size());
+        return nodes_[u];
+    }
+    const NodeCounters& node(NodeId u) const {
+        FASTNET_EXPECTS(u < nodes_.size());
+        return nodes_[u];
+    }
     NodeId node_count() const { return static_cast<NodeId>(nodes_.size()); }
 
     NetCounters& net() { return net_; }
@@ -348,20 +357,21 @@ public:
     /// restart empty with the same window width.
     void reset();
 
-    /// Accumulates another ledger of the same node count into this one —
-    /// how the kernel folds per-shard ledgers into the one a single-shard
-    /// run would have produced. Counters add (max_header_len takes the
-    /// max); sampling merges window-wise when both sides have it; the
-    /// memory ledger keeps the later latest sample, adds sample counts and
-    /// takes the larger peak. Everything is integer or integral-double
-    /// arithmetic, so the result is exact and independent of merge order.
+    /// Accumulates another ledger, except its per-node table (a shard's
+    /// has none), into this one — how the kernel folds per-shard ledgers.
+    /// Counters add (max_header_len takes the max); sampling merges
+    /// window-wise when both sides have it; the memory ledger keeps the
+    /// later latest sample, adds sample counts and takes the larger peak.
+    /// Everything is integer or integral-double arithmetic, so the result
+    /// is exact and independent of merge order.
     void merge_from(const Metrics& o);
 
     // ---- windowed samplers (optional; see Sampling) -------------------
     /// Turns on time-series/histogram sampling with `window`-tick
-    /// windows. Off by default: an unsampled run pays only one null
-    /// check per hook.
-    void enable_sampling(Tick window);
+    /// windows over all `node_count` nodes, even in a shard's ledger: a
+    /// hop's hw_time goes to the packet's origin, wherever it lives. Off
+    /// by default: an unsampled run pays only one null check per hook.
+    void enable_sampling(NodeId node_count, Tick window);
     Sampling* sampling() { return sampling_.get(); }
     const Sampling* sampling() const { return sampling_.get(); }
 

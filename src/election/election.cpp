@@ -184,7 +184,6 @@ void ElectionProtocol::handle_return_token(node::Context& ctx, const ReturnToken
         captures_by_phase_[victim_phase] += 1;
         tree_.absorb(tok.victim_tree, tok.entry);
         size_ += tok.victim_size;
-        max_phase_ = std::max(max_phase_, phase());
     } else {
         active_ = false;
     }
@@ -216,7 +215,6 @@ void ElectionProtocol::begin_tour(node::Context& ctx) {
         become_leader(ctx);
         return;
     }
-    max_phase_ = std::max(max_phase_, phase());
     auto tok = std::make_shared<TourToken>();
     tok->origin = ctx.self();
     tok->origin_inc = ctx.incarnation();

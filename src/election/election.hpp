@@ -141,7 +141,6 @@ private:
     std::optional<TourToken> waiting_;  ///< A visitor parked here (rule 2.3).
     std::optional<hw::AnrHeader> f_anr_;  ///< F pointer: route to capturer's origin.
 
-    unsigned max_phase_ = 0;
     std::vector<std::uint64_t> captures_by_phase_;
     std::size_t max_return_len_ = 0;
     std::size_t max_naive_return_len_ = 0;

@@ -64,7 +64,6 @@ Network::Network(sim::Simulator& sim, Fabric& fabric, std::uint32_t shard, cost:
       metrics_(metrics),
       trace_(trace),
       monitors_(monitors) {
-    FASTNET_EXPECTS(metrics.node_count() == fabric.graph_.node_count());
     FASTNET_EXPECTS(shard < fabric.shards_.size() && fabric.shards_[shard] == nullptr);
     fabric.shards_[shard] = &sim;
 }
@@ -144,7 +143,6 @@ void Network::admit(NodeId from, std::size_t len) {
     }
     metrics_.net().injections += 1;
     metrics_.net().max_header_len = std::max(metrics_.net().max_header_len, len);
-    metrics_.node(from).sends += 1;
 }
 
 std::uint64_t Network::send(NodeId from, const AnrHeader& header,

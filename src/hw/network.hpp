@@ -238,9 +238,10 @@ public:
     /// delivery is handed over by move.
     using NcuDispatch = std::function<void(NodeId, Delivery&&)>;
 
-    /// Shard `shard` of `fabric`, which must outlive it; `trace` and
-    /// `monitors` (either may be null) are the shard's own. A whole
-    /// simulation on one event queue is shard 0 of a one-shard fabric.
+    /// Shard `shard` of `fabric`, which must outlive it; `metrics` (which
+    /// gets hardware totals only), `trace` and `monitors` (either may be
+    /// null) are the shard's own. A whole simulation on one event queue
+    /// is shard 0 of a one-shard fabric.
     Network(sim::Simulator& sim, Fabric& fabric, std::uint32_t shard, cost::Metrics& metrics,
             sim::Trace* trace, obs::MonitorHub* monitors);
 
@@ -251,9 +252,10 @@ public:
     const ModelParams& params() const { return fabric_.params_; }
     sim::Simulator& simulator() { return sim_; }
     cost::Metrics& metrics() { return metrics_; }
-    /// Attached monitor hub, or null. The NCU runtimes feed it their
-    /// enqueue/invoke events through this accessor.
+    /// Attached monitor hub and trace, or null. The NCU runtimes feed
+    /// them their events through these accessors.
     obs::MonitorHub* monitors() const { return monitors_; }
+    sim::Trace* trace() const { return trace_; }
 
     /// Registers where NCU deliveries go. Must be set before any packet
     /// can be delivered.

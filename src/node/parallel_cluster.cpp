@@ -73,10 +73,10 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
     shards_.reserve(shard_count);
     for (unsigned s = 0; s < shard_count; ++s) {
         auto sh = std::make_unique<Shard>();
-        sh->metrics = std::make_unique<cost::Metrics>(n);
-        if (config_.sample_window > 0) sh->metrics->enable_sampling(config_.sample_window);
+        sh->metrics = std::make_unique<cost::Metrics>(0);
+        if (config_.sample_window > 0) sh->metrics->enable_sampling(n, config_.sample_window);
         if (config_.trace_capacity > 0) {
-            sh->trace = std::make_shared<sim::Trace>(config_.trace_capacity,
+            sh->trace = std::make_unique<sim::Trace>(config_.trace_capacity,
                                                      config_.trace_detail_capacity);
             for (unsigned k = 0; k < sim::kTraceKindCount; ++k) {
                 const auto kind = static_cast<sim::TraceKind>(k);
@@ -98,7 +98,7 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
             }
         }
         if (config_.monitor_setup) {
-            sh->monitors = std::make_shared<obs::MonitorHub>();
+            sh->monitors = std::make_unique<obs::MonitorHub>();
             config_.monitor_setup(*sh->monitors);
             sh->monitors->attach_trace(sh->trace.get());
         }
@@ -119,7 +119,6 @@ ParallelCluster::ParallelCluster(graph::Graph g, ProtocolFactory factory,
         NodeRuntime* rt = new (slot) NodeRuntime(u, *sh.net, factory_(u), master.fork(), sh.arena,
                                                  config_.ncu_delay_min, config_.free_multisend);
         runtimes_.emplace_back(rt);
-        rt->set_trace(sh.trace);
         rt->set_profile_id(sh.metrics->profiler().register_protocol(rt->protocol().name()));
     }
     if (threads_ > 1) pool_ = std::make_unique<exec::ThreadPool>(threads_);
@@ -160,7 +159,7 @@ void ParallelCluster::start(NodeId u, Tick at) {
 }
 
 void ParallelCluster::start_all(Tick at) {
-    for (NodeId u = 0; u < graph_.node_count(); ++u) start(u, at);
+    push_action({at, ScenarioAction::Kind::kStart, kNoEdge, kNoNode});
 }
 
 void ParallelCluster::mark_phase(Tick at, std::uint64_t phase) {
@@ -208,7 +207,10 @@ void ParallelCluster::advance_all_to(Tick t) {
 void ParallelCluster::apply_action(const ScenarioAction& a) {
     switch (a.kind) {
         case ScenarioAction::Kind::kStart:
-            runtime(a.node).request_start(a.at);
+            if (a.node == kNoNode)
+                for (const auto& rt : runtimes_) rt->request_start(a.at);
+            else
+                runtime(a.node).request_start(a.at);
             break;
         case ScenarioAction::Kind::kFailLink:
             fabric_->set_link_active(a.edge, false);
@@ -409,9 +411,11 @@ void ParallelCluster::set_profile(bool on) {
 }
 
 cost::Metrics ParallelCluster::merged_metrics() const {
-    cost::Metrics m(graph_.node_count());
-    if (config_.sample_window > 0) m.enable_sampling(config_.sample_window);
+    const NodeId n = graph_.node_count();
+    cost::Metrics m(n);
+    if (config_.sample_window > 0) m.enable_sampling(n, config_.sample_window);
     for (const auto& sh : shards_) m.merge_from(*sh->metrics);
+    for (NodeId u = 0; u < n; ++u) m.node(u) = runtimes_[u]->counters();
     // Every shard replays the same phase marks.
     m.set_phase(shards_[0]->metrics->phase());
     return m;

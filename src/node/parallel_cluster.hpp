@@ -109,7 +109,7 @@ struct ParallelClusterConfig {
     /// When > 0, enables cost::Metrics windowed sampling with this
     /// window width (ticks): per-node busy/queue/delivery series, hop
     /// and delivery latency histograms, C-vs-P budget attribution.
-    /// Accumulated per shard and merged.
+    /// Accumulated per shard, over all n nodes, and merged.
     Tick sample_window = 0;
     /// Monitor installer, invoked once per shard hub; null = no
     /// monitors. Each shard audits its own slice of the run (plus
@@ -144,6 +144,7 @@ public:
     // in time order (registration order on ties). `at` must not be in
     // the past once the run has begun.
     void start(NodeId u, Tick at = 0);
+    /// One action that starts every node, in node order.
     void start_all(Tick at = 0);
     void mark_phase(Tick at, std::uint64_t phase);
     void fail_link(Tick at, EdgeId e);
@@ -187,8 +188,9 @@ public:
 
     // ---- merged results ----------------------------------------------
     /// Per-shard ledgers folded into one (cost::Metrics::merge_from) —
-    /// exact, order-independent arithmetic. Includes the memory ledger
-    /// when sample_memory() ran.
+    /// exact, order-independent arithmetic — with the runtimes' counters
+    /// as its per-node table. Includes the memory ledger when
+    /// sample_memory() ran.
     cost::Metrics merged_metrics() const;
     /// Per-shard trace snapshots merged by (at, node) — each (at, node)
     /// pair belongs to exactly one shard, so the stable sort yields one
@@ -241,8 +243,8 @@ private:
     struct Shard {
         sim::Simulator sim;
         std::unique_ptr<cost::Metrics> metrics;
-        std::shared_ptr<sim::Trace> trace;
-        std::shared_ptr<obs::MonitorHub> monitors;
+        std::unique_ptr<sim::Trace> trace;
+        std::unique_ptr<obs::MonitorHub> monitors;
         std::unique_ptr<hw::Network> net;
         /// Holds the shard's runtimes, each followed by its link table:
         /// no heap object per node. Chunks stay below malloc's initial

@@ -51,9 +51,8 @@ void NodeRuntime::crash() {
     for (const auto& [id, ev] : pending_timers_) net_.cancel_scheduled(ev);
     pending_timers_.clear();
     cancelled_timers_.clear();
-    net_.metrics().node(self_).crashes += 1;
-    if (trace_)
-        trace_->record(now(), self_, sim::TraceKind::kCrash, {.a = incarnation_ - 1});
+    counters_.crashes += 1;
+    trace(sim::TraceKind::kCrash, {.a = incarnation_ - 1});
 }
 
 void NodeRuntime::restart(std::unique_ptr<Protocol> fresh) {
@@ -65,7 +64,7 @@ void NodeRuntime::restart(std::unique_ptr<Protocol> fresh) {
     // *current* state of its links, not the state at crash time.
     for (std::uint32_t i = 0; i < link_count_; ++i)
         links_[i].active = net_.link_active(links_[i].edge);
-    if (trace_) trace_->record(now(), self_, sim::TraceKind::kRestart, {.a = incarnation_});
+    trace(sim::TraceKind::kRestart, {.a = incarnation_});
     enqueue(RestartWork{});
 }
 
@@ -122,7 +121,7 @@ void NodeRuntime::begin_next_if_idle() {
     if (ncu_ != Ncu::kIdle || queue_.empty()) return;
     ncu_ = Ncu::kServing;
     const Tick delay = processing_delay();
-    net_.metrics().node(self_).busy_time += delay;
+    counters_.busy_time += delay;
     if (cost::Sampling* s = net_.metrics().sampling()) {
         // Software (P) budget: the processing window this invocation
         // occupies, attributed to its start tick.
@@ -141,7 +140,7 @@ void NodeRuntime::begin_next_if_idle() {
         if (extra_busy_ > 0) {
             // Ablation A1: serialized sends keep the processor occupied.
             ncu_ = Ncu::kSendTail;
-            net_.metrics().node(self_).busy_time += extra_busy_;
+            counters_.busy_time += extra_busy_;
             net_.schedule_after(self_, extra_busy_, [this, inc] {
                 if (inc != incarnation_) return;
                 ncu_ = Ncu::kIdle;
@@ -154,28 +153,23 @@ void NodeRuntime::begin_next_if_idle() {
 }
 
 void NodeRuntime::complete(Work& w, Tick busy) {
-    cost::NodeCounters& counters = net_.metrics().node(self_);
     auto invoke_kind = cost::HandlerKind::kStart;
     std::uint64_t invoke_lineage = 0;
     if (std::holds_alternative<StartWork>(w)) {
-        counters.starts += 1;
-        if (trace_ && trace_->enabled(sim::TraceKind::kStart))
-            trace_->record(now(), self_, sim::TraceKind::kStart,
-                           {.b = static_cast<std::uint64_t>(busy)});
+        counters_.starts += 1;
+        trace(sim::TraceKind::kStart, {.b = static_cast<std::uint64_t>(busy)});
         protocol_->on_start(*this);
     } else if (std::holds_alternative<RestartWork>(w)) {
         invoke_kind = cost::HandlerKind::kRestart;
-        counters.restarts += 1;
+        counters_.restarts += 1;
         protocol_->on_restart(*this);
     } else if (auto* d = std::get_if<hw::Delivery>(&w)) {
         invoke_kind = cost::HandlerKind::kDelivery;
         invoke_lineage = d->lineage;
-        counters.message_deliveries += 1;
-        if (trace_ && trace_->enabled(sim::TraceKind::kDeliver))
-            trace_->record(now(), self_, sim::TraceKind::kDeliver,
-                           {.lineage = d->lineage, .a = d->hops,
-                            .b = static_cast<std::uint64_t>(busy),
-                            .c = static_cast<std::uint64_t>(d->sent_at)});
+        counters_.message_deliveries += 1;
+        trace(sim::TraceKind::kDeliver, {.lineage = d->lineage, .a = d->hops,
+                                         .b = static_cast<std::uint64_t>(busy),
+                                         .c = static_cast<std::uint64_t>(d->sent_at)});
         if (cost::Sampling* s = net_.metrics().sampling()) {
             s->node(self_).deliveries.add(now(), 1);
             s->phase_call(net_.metrics().phase());
@@ -185,13 +179,11 @@ void NodeRuntime::complete(Work& w, Tick busy) {
         current_lineage_ = 0;
     } else if (auto* l = std::get_if<LinkWork>(&w)) {
         invoke_kind = cost::HandlerKind::kLink;
-        counters.link_events += 1;
+        counters_.link_events += 1;
         links_[l->link_index].active = l->up;
-        if (trace_ && trace_->enabled(sim::TraceKind::kLinkChange))
-            trace_->record(now(), self_, sim::TraceKind::kLinkChange,
-                           {.a = links_[l->link_index].edge,
-                            .b = static_cast<std::uint64_t>(busy),
-                            .flag = l->up ? std::uint8_t{1} : std::uint8_t{0}});
+        trace(sim::TraceKind::kLinkChange, {.a = links_[l->link_index].edge,
+                                            .b = static_cast<std::uint64_t>(busy),
+                                            .flag = l->up ? std::uint8_t{1} : std::uint8_t{0}});
         protocol_->on_link_state(*this, links_[l->link_index], l->up);
     } else if (auto* t = std::get_if<TimerWork>(&w)) {
         auto it = std::find(cancelled_timers_.begin(), cancelled_timers_.end(), t->id);
@@ -201,12 +193,10 @@ void NodeRuntime::complete(Work& w, Tick busy) {
         }
         invoke_kind = cost::HandlerKind::kTimer;
         invoke_lineage = t->lineage;
-        counters.timer_fires += 1;
-        if (trace_ && trace_->enabled(sim::TraceKind::kTimer))
-            trace_->record(now(), self_, sim::TraceKind::kTimer,
-                           {.lineage = t->lineage, .a = t->cookie,
-                            .b = static_cast<std::uint64_t>(busy),
-                            .c = static_cast<std::uint64_t>(t->armed_at)});
+        counters_.timer_fires += 1;
+        trace(sim::TraceKind::kTimer, {.lineage = t->lineage, .a = t->cookie,
+                                       .b = static_cast<std::uint64_t>(busy),
+                                       .c = static_cast<std::uint64_t>(t->armed_at)});
         current_lineage_ = t->lineage;
         protocol_->on_timer(*this, t->cookie);
         current_lineage_ = 0;
@@ -236,6 +226,7 @@ template <typename Labels>
 void NodeRuntime::send_or_defer(const Labels& labels, std::shared_ptr<const hw::Payload> payload) {
     const unsigned index = sends_this_call_++;
     if (free_multisend_ || index == 0) {
+        counters_.sends += 1;
         net_.send(self_, labels, std::move(payload), current_lineage_);
         return;
     }
@@ -246,11 +237,13 @@ void NodeRuntime::send_or_defer(const Labels& labels, std::shared_ptr<const hw::
     net_.schedule_after(self_, wait, [this, inc = incarnation_, lin = current_lineage_,
                                       r = hw::Route(labels), p = std::move(payload)]() mutable {
         if (inc != incarnation_) return;  // crashed before the packet left
+        counters_.sends += 1;
         net_.send(self_, r, std::move(p), lin);
     });
 }
 
 void NodeRuntime::reply(const hw::Delivery& to, std::shared_ptr<const hw::Payload> payload) {
+    counters_.sends += 1;
     net_.send(self_, to.reverse(), std::move(payload), current_lineage_);
 }
 

@@ -43,16 +43,12 @@ public:
     NodeRuntime(const NodeRuntime&) = delete;
     NodeRuntime& operator=(const NodeRuntime&) = delete;
 
-    /// Attaches an observational trace (may be null).
-    void set_trace(std::shared_ptr<sim::Trace> trace) { trace_ = std::move(trace); }
-
     /// Routes this runtime's handler completions into the always-on
     /// profiler (cost::Metrics::profiler) under the given protocol id
     /// (from Profiler::register_protocol). kNoProtocol (the default)
     /// records nothing. Survives crash/restart — the fresh instance
     /// keeps the same protocol name.
     void set_profile_id(std::uint16_t id) { profile_id_ = id; }
-    std::uint16_t profile_id() const { return profile_id_; }
 
     /// Enqueues a spontaneous start at simulated time `at`.
     void request_start(Tick at);
@@ -85,6 +81,9 @@ public:
 
     bool crashed() const { return crashed_; }
 
+    /// This NCU's counters; the runtime is their only writer.
+    const cost::NodeCounters& counters() const { return counters_; }
+
     /// Fault injection: adds `extra` ticks to every processing delay (an
     /// overloaded/thermally-throttled NCU — inflated P). 0 clears.
     void set_stall(Tick extra);
@@ -111,9 +110,7 @@ public:
     std::uint64_t incarnation() const override { return incarnation_; }
     void record(sim::TraceKind kind, std::uint64_t a, std::uint64_t b = 0,
                 std::uint8_t flag = 0) override {
-        if (trace_ && trace_->enabled(kind))
-            trace_->record(now(), self_, kind,
-                           {.lineage = current_lineage_, .a = a, .b = b, .flag = flag});
+        trace(kind, {.lineage = current_lineage_, .a = a, .b = b, .flag = flag});
     }
 
 private:
@@ -144,6 +141,11 @@ private:
         kSendTail,  ///< Ablation A1: busy with serialized sends, no item.
     };
 
+    /// Records into the shard's trace, if any (Trace::record skips
+    /// disabled kinds).
+    void trace(sim::TraceKind kind, sim::TraceArgs args) {
+        if (sim::Trace* t = net_.trace()) t->record(now(), self_, kind, args);
+    }
     void enqueue(Work w);
     void begin_next_if_idle();
     void complete(Work& w, Tick busy);
@@ -169,7 +171,7 @@ private:
     /// the incarnation it was scheduled under and is dropped if the node
     /// crashed in between — the previous incarnation's future never runs.
     std::uint64_t incarnation_ = 0;
-    std::shared_ptr<sim::Trace> trace_;
+    cost::NodeCounters counters_;
     /// Lineage of the work item whose handler is currently executing
     /// (0 outside handlers): the causal parent stamped on sends and
     /// armed timers.

@@ -30,7 +30,7 @@ struct ScenarioAction {
     Tick at = 0;
     Kind kind = Kind::kFailLink;
     EdgeId edge = kNoEdge;   ///< For link actions.
-    NodeId node = kNoNode;   ///< For node actions / start.
+    NodeId node = kNoNode;   ///< For node actions / start (kStart with kNoNode: every node).
     Tick amount = 0;         ///< For kStallNode: the extra delay. For kMarkPhase: the phase id.
 };
 

@@ -393,7 +393,7 @@ int main() {
     constexpr NodeId kNodes = 512;
     const graph::Graph g = graph::make_path(kNodes);
     sim::Simulator sim;
-    cost::Metrics metrics(g.node_count());
+    cost::Metrics metrics(0);
     // A disabled trace must be free on the fast path: the guard runs with
     // one attached so any record() sneaking past the enabled() gate (or
     // allocating despite being filtered) trips the budget below. Same for

@@ -184,7 +184,7 @@ TEST(Audit, ForgedElectionMessageCountFails) {
 
 TEST(Audit, PhaseBudgetReadsSampledAttribution) {
     cost::Metrics metrics(4);
-    metrics.enable_sampling(16);
+    metrics.enable_sampling(4, 16);
     for (int i = 0; i < 5; ++i) metrics.sampling()->phase_call(2);
     BoundAudit ok("pb"), over("pb-over");
     ok.phase_budget(metrics, 2, 5);

@@ -60,6 +60,8 @@ TEST(MultisendAblation, SerializedSendsLeaveStaggered) {
     EXPECT_EQ(sink.arrivals[3].first, 5);
     // FIFO order of values preserved.
     for (int i = 0; i < 4; ++i) EXPECT_EQ(sink.arrivals[i].second, i);
+    // One immediate send and three deferred ones, all counted.
+    EXPECT_EQ(c.merged_metrics().node(0).sends, 4u);
 }
 
 TEST(MultisendAblation, FreeModeAllLeaveTogether) {

@@ -76,9 +76,25 @@ struct RunResult {
     Tick completion = 0;
     std::string trace_json;
     std::string metrics_json;
+    std::string node_counters;
     std::string violations_json;
     fault::OracleReport oracle;
 };
+
+/// Every node's counters, one line per node: the metrics JSON carries
+/// only their totals.
+std::string node_counters_text(const cost::Metrics& m) {
+    std::string out;
+    for (NodeId u = 0; u < m.node_count(); ++u) {
+        const cost::NodeCounters& c = m.node(u);
+        for (const std::uint64_t v :
+             {c.message_deliveries, c.starts, c.timer_fires, c.link_events, c.sends, c.crashes,
+              c.restarts, static_cast<std::uint64_t>(c.busy_time)})
+            out += std::to_string(v) + ' ';
+        out += '\n';
+    }
+    return out;
+}
 
 RunResult run_config(unsigned shards, unsigned threads) {
     ParallelCluster c(irregular_graph(),
@@ -93,7 +109,9 @@ RunResult run_config(unsigned shards, unsigned threads) {
     r.trace_json =
         obs::canonical_trace_json(c.merged_trace(), meta, c.trace_total_recorded(),
                                   c.trace_dropped(), c.trace_detail_dropped());
-    r.metrics_json = obs::metrics_json(c.merged_metrics(), "parallel_sweep");
+    const cost::Metrics merged = c.merged_metrics();
+    r.metrics_json = obs::metrics_json(merged, "parallel_sweep");
+    r.node_counters = node_counters_text(merged);
     r.violations_json = obs::violations_json(c.monitor_count(), c.violation_count(),
                                              c.merged_violations(), "parallel_sweep");
     r.oracle = fault::check_theorem1(c);
@@ -115,9 +133,32 @@ TEST(ParallelSim, ByteIdenticalAcrossShardAndThreadCounts) {
             EXPECT_EQ(r.completion, baseline.completion);
             EXPECT_EQ(r.trace_json, baseline.trace_json);
             EXPECT_EQ(r.metrics_json, baseline.metrics_json);
+            EXPECT_EQ(r.node_counters, baseline.node_counters);
             EXPECT_EQ(r.violations_json, baseline.violations_json);
             EXPECT_TRUE(r.oracle.ok()) << r.oracle.summary();
         }
+    }
+}
+
+TEST(ParallelSim, ShardLedgersKeepNoPerNodeTable) {
+    // Each node's counters live once, in its runtime: a shard's ledger
+    // holds network-wide state only, and the merged ledger is the one
+    // n-sized table.
+    for (unsigned shards : {1u, 2u, 7u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        ParallelCluster c(irregular_graph(),
+                          topo::make_topology_maintenance(23, maintenance_options()),
+                          base_config(shards, 1));
+        script_churn(c);
+        c.run();
+        ASSERT_EQ(c.shard_count(), shards);
+        for (unsigned s = 0; s < c.shard_count(); ++s)
+            EXPECT_EQ(c.mirror(s).metrics().node_count(), 0u);
+        const cost::Metrics merged = c.merged_metrics();
+        EXPECT_EQ(merged.node_count(), c.node_count());
+        EXPECT_GT(merged.total_invocations(), 0u);
+        EXPECT_EQ(merged.node(5).crashes, 1u);
+        EXPECT_EQ(merged.node(5).restarts, 1u);
     }
 }
 

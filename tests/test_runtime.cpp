@@ -163,6 +163,7 @@ TEST(Runtime, ReplyUsesReverseRoute) {
     auto& r0 = c.protocol_as<Recorder>(0);
     ASSERT_EQ(r0.values.size(), 1u);
     EXPECT_EQ(r0.values[0], 42);
+    EXPECT_EQ(c.merged_metrics().node(2).sends, 1u);  // the reply
 }
 
 class TimerUser : public Recorder {
